@@ -1,10 +1,14 @@
 // Performance microbenchmarks (google-benchmark) for the hot paths of the
 // simulation stack: counter-RNG synthesis, whole-row flip evaluation,
-// Alg. 1's measure_BER, the circuit solver, and dense LU -- plus an
-// end-to-end study sweep parameterized by --jobs, so serial-vs-parallel
-// speedup is one `--benchmark_filter=BM_StudySweep` run away.
+// Alg. 1's measure_BER, the circuit solver, dense LU, and the per-shard
+// checkpoint append -- plus an end-to-end study sweep parameterized by
+// --jobs, so serial-vs-parallel speedup is one
+// `--benchmark_filter=BM_StudySweep` run away.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -12,6 +16,7 @@
 #include "circuit/dram_cell.hpp"
 #include "circuit/matrix.hpp"
 #include "common/rng.hpp"
+#include "core/campaign_journal.hpp"
 #include "dram/module.hpp"
 #include "harness/pattern_fuzzer.hpp"
 #include "harness/pattern_spec.hpp"
@@ -218,6 +223,58 @@ void BM_FuzzGeneration(benchmark::State& state) {
       static_cast<double>(config.population), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FuzzGeneration)->Arg(8)->Arg(32);
+
+// Checkpoint cost of one shard: a shard record appended (and fdatasync'ed)
+// to a manifest journal that already holds range(0) records. The journal is
+// append-only, so the cost must not grow with its length; CI asserts that
+// /1000 stays within 1.5x of /100 (a full-document rewrite grows linearly).
+void BM_ManifestAppend(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("vpp_manifest_append_" + std::to_string(::getpid()) + ".json"))
+          .string();
+  core::CampaignManifest header;
+  core::ManifestShard record;
+  record.module = "B3";
+  record.point.vpp_v = 2.5;
+  record.counted = true;
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    record.hammer.push_back(
+        {r * 97, dram::DataPattern::kCheckerAA, 40000 + r, 1e-4 * r});
+  }
+  record.row_end = 4;
+  std::remove(path.c_str());
+  {
+    core::ManifestJournal seed(path, core::JobPhase::kRowHammer, nullptr);
+    bool ok = seed.open(header).ok();
+    for (std::int64_t i = 0; ok && i < state.range(0); ++i) {
+      ok = seed.append(record).ok();
+    }
+    if (!ok) {
+      state.SkipWithError("cannot seed the journal");
+      return;
+    }
+  }
+  const auto seeded = core::read_manifest_file(path);
+  if (!seeded) {
+    state.SkipWithError(seeded.error().message.c_str());
+    return;
+  }
+  for (auto _ : state) {
+    // Reopening truncates the previous iteration's record: the journal
+    // holds exactly range(0) records before every timed append.
+    state.PauseTiming();
+    core::ManifestJournal journal(path, core::JobPhase::kRowHammer, &*seeded);
+    const bool opened = journal.open(header).ok();
+    state.ResumeTiming();
+    if (!opened || !journal.append(record).ok()) {
+      state.SkipWithError("manifest journal append failed");
+      break;
+    }
+  }
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_ManifestAppend)->Arg(100)->Arg(1000);
 
 // End-to-end RowHammer sweep through the parallel engine, with the job count
 // as the benchmark argument. Compare the `jobs:1` row against `jobs:N` to

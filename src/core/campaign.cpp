@@ -146,6 +146,30 @@ bool parse_u64_hex(const std::string& s, std::uint64_t& out) {
   return end != nullptr && *end == '\0';
 }
 
+ShardKey ShardKey::of(const std::string& module, const AxisPoint& point,
+                      std::uint32_t row_begin, std::uint32_t row_end) {
+  ShardKey key;
+  key.module = module;
+  key.vpp_mv = static_cast<std::int64_t>(vpp_millivolts(point.vpp_v));
+  key.temp_mc = temperature_millidegrees(point.temperature_c);
+  key.hammer_count = point.hammer_count;
+  key.act_ps = act_to_act_picoseconds(point.act_to_act_ns);
+  key.pattern_hash = point.pattern_hash;
+  key.row_begin = row_begin;
+  key.row_end = row_end;
+  return key;
+}
+
+std::size_t ShardKey::Hash::operator()(const ShardKey& key) const noexcept {
+  const std::uint64_t h = common::hash_key(
+      {static_cast<std::uint64_t>(key.vpp_mv),
+       static_cast<std::uint64_t>(key.temp_mc), key.hammer_count,
+       static_cast<std::uint64_t>(key.act_ps), key.pattern_hash,
+       (static_cast<std::uint64_t>(key.row_begin) << 32) | key.row_end});
+  return static_cast<std::size_t>(
+      common::hash_accumulate(h, std::hash<std::string>{}(key.module)));
+}
+
 void manifest_wcdp_json(common::JsonWriter& json, const ManifestWcdp& record) {
   json.begin_object();
   json.kv("module", record.module);
@@ -706,19 +730,35 @@ common::Result<CampaignManifest> parse_campaign_manifest(const JsonValue& doc) {
   return m;
 }
 
-common::Result<CampaignManifest> load_campaign_manifest(
-    const std::string& path) {
-  VPP_ASSIGN_OR_RETURN(JsonValue doc, common::parse_json_file(path));
-  return parse_campaign_manifest(doc);
+CampaignManifest campaign_manifest_spec(const CampaignPlan& plan,
+                                        JobPhase phase) {
+  CampaignManifest m;
+  m.phase = phase;
+  m.plan_hash = plan.digest(phase);
+  m.sweep = plan.sweep;
+  m.axes = plan.axes;
+  m.seed = plan.seed;
+  m.rows_per_shard = plan.rows_per_shard;
+  for (const dram::ModuleProfile& mod : plan.modules) {
+    m.modules.emplace_back(mod.name, mod.rows_per_bank);
+  }
+  return m;
 }
 
-bool write_campaign_manifest(const std::string& path,
-                             const CampaignManifest& manifest) {
-  const std::string tmp = path + ".tmp";
-  if (!campaign_manifest_json(manifest).write_file(tmp)) return false;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) return false;
-  campaign_checkpoint_written();
-  return true;
+common::Status check_manifest_plan(const CampaignManifest& manifest,
+                                   JobPhase phase, std::uint64_t plan_hash) {
+  if (manifest.phase != phase) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "campaign manifest phase mismatch: checkpoint is " +
+                     std::string(campaign_phase_name(manifest.phase)) +
+                     ", plan wants " + std::string(campaign_phase_name(phase))};
+  }
+  if (manifest.plan_hash != plan_hash) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "campaign manifest plan hash mismatch (the plan changed "
+                 "since the checkpoint was written)"};
+  }
+  return common::Status::ok_status();
 }
 
 common::Result<CampaignPlan> plan_from_manifest(

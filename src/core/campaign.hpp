@@ -20,20 +20,24 @@
 //    every row is a pure function of its stream key.
 //
 //  * Campaign manifest -- optional checkpoint/resume. When
-//    CampaignPlan::manifest_path is set, the engine serializes a manifest
+//    CampaignPlan::manifest_path is set, the engine checkpoints a manifest
 //    (plan hash + full plan spec + completed-shard records with per-row
-//    results and session counts, versioned JSON like softmc/trace_dump)
-//    after each shard completes, via atomic tmp+rename. A killed campaign
-//    re-run against the same manifest skips completed shards and the merged
-//    result -- rows, reductions, instrumentation -- is byte-identical to an
-//    uninterrupted run. The manifest embeds the plan spec, so
-//    plan_from_manifest reconstructs the campaign from the file alone
-//    (vppctl campaign resume).
+//    results and session counts, versioned JSON like softmc/trace_dump).
+//    On disk it is an append-only, checksummed journal
+//    (core/campaign_journal.hpp): each WCDP prep and each completed shard
+//    appends one fdatasync'ed line, so a checkpoint costs O(record), not
+//    O(manifest). A torn last line is dropped on load. A run that finishes
+//    without error compacts the journal into one plain document in
+//    canonical order. A killed campaign re-run against the same manifest
+//    skips completed shards and the merged result -- rows, reductions,
+//    instrumentation -- is byte-identical to an uninterrupted run. The
+//    manifest embeds the plan spec, so plan_from_manifest reconstructs the
+//    campaign from the file alone (vppctl campaign resume).
 //
 // Determinism: unit order (module, point, shard) is the assembly and
 // error-priority order regardless of scheduling; manifest records are
-// written in drain order, so "the first N shards" of a partial manifest is
-// a deterministic set for any fixed jobs count.
+// journaled in drain order, so "the first N shards" of a partial manifest
+// is a deterministic set for any fixed jobs count.
 #pragma once
 
 #include <cstdint>
@@ -231,6 +235,34 @@ struct ManifestShard {
   std::vector<harness::RetentionRowResult> retention;
 };
 
+/// Hashable identity of one shard cell: the module, the point's axis
+/// coordinates quantized the way stream seeds quantize them (so a record
+/// round-tripped through JSON maps back to its cell exactly), and the row
+/// range. Manifest lookups and the shard grid index key on it.
+struct ShardKey {
+  std::string module;
+  std::int64_t vpp_mv = 0;
+  std::int64_t temp_mc = 0;
+  std::uint64_t hammer_count = 0;
+  std::int64_t act_ps = 0;
+  std::uint64_t pattern_hash = 0;
+  std::uint32_t row_begin = 0;
+  std::uint32_t row_end = 0;
+
+  [[nodiscard]] static ShardKey of(const std::string& module,
+                                   const AxisPoint& point,
+                                   std::uint32_t row_begin,
+                                   std::uint32_t row_end);
+  [[nodiscard]] static ShardKey of(const ManifestShard& shard) {
+    return of(shard.module, shard.point, shard.row_begin, shard.row_end);
+  }
+  friend bool operator==(const ShardKey&, const ShardKey&) = default;
+
+  struct Hash {
+    [[nodiscard]] std::size_t operator()(const ShardKey& key) const noexcept;
+  };
+};
+
 struct ManifestWcdp {
   std::string module;
   std::vector<dram::DataPattern> wcdp;
@@ -275,9 +307,10 @@ struct CampaignManifest {
 
 // --- Record-level serialization ---------------------------------------------
 // The wcdp/shard record encodings are shared by the manifest writer/parser,
-// the lease ledger (core/campaign_lease.hpp), and the vppd lease protocol
-// (workers stream ManifestShard records over the wire in `submit` frames);
-// all producers and consumers must stay byte-compatible.
+// the manifest journal's record lines (core/campaign_journal.hpp), and the
+// vppd lease protocol (workers stream ManifestShard records over the wire
+// in `submit` frames); all producers and consumers must stay
+// byte-compatible.
 
 /// 64-bit hashes and seeds round-trip the JSON layer as hex strings: the
 /// JsonValue DOM stores numbers as doubles, which would silently truncate
@@ -297,18 +330,30 @@ void manifest_shard_json(common::JsonWriter& json, const ManifestShard& shard,
     const CampaignManifest& manifest);
 [[nodiscard]] common::Result<CampaignManifest> parse_campaign_manifest(
     const common::JsonValue& doc);
+/// Read a manifest file -- a plain document or a journal -- with every
+/// intact journal record folded in (core/campaign_journal.hpp).
 [[nodiscard]] common::Result<CampaignManifest> load_campaign_manifest(
     const std::string& path);
-/// Atomic write (tmp + rename). Honors VPP_CAMPAIGN_KILL_AFTER=N: the
-/// process SIGKILLs itself after the Nth successful manifest write -- the
-/// deterministic mid-campaign kill used by the CI resume smoke test.
+/// Durable atomic write of one plain document (common/durable_file.hpp):
+/// the journal's compaction, and a way to seed a checkpoint from a merged
+/// manifest.
 [[nodiscard]] bool write_campaign_manifest(const std::string& path,
                                            const CampaignManifest& manifest);
-/// Advance the shared VPP_CAMPAIGN_KILL_AFTER write counter. Every
-/// checkpoint writer (campaign manifests here, fuzz manifests in
-/// core/fuzz_campaign) calls this after a successful atomic write, so the
-/// env var counts checkpoints of any kind and a kill boundary can land
-/// between fuzz generations as well as between shards.
+/// The zero-record manifest a fresh checkpoint of `plan` starts from: plan
+/// hash and spec for `phase` (planned_shards left for the caller).
+[[nodiscard]] CampaignManifest campaign_manifest_spec(const CampaignPlan& plan,
+                                                      JobPhase phase);
+/// kInvalidArgument unless `manifest` checkpoints `phase` of the plan with
+/// digest `plan_hash` -- the check every resume applies.
+[[nodiscard]] common::Status check_manifest_plan(
+    const CampaignManifest& manifest, JobPhase phase, std::uint64_t plan_hash);
+/// Advance the shared VPP_CAMPAIGN_KILL_AFTER=N counter: the process
+/// SIGKILLs itself after the Nth checkpoint -- the deterministic
+/// mid-campaign kill the resume tests and CI smoke jobs use. Checkpoints
+/// are counted by their writers: one per engine manifest record, one per
+/// coordinator submit, one per fuzz manifest write (core/fuzz_campaign), so
+/// a kill boundary can land between fuzz generations as well as between
+/// shards. Journal compaction is not a checkpoint and does not count.
 void campaign_checkpoint_written();
 /// Reconstruct the plan a manifest was checkpointing (vppctl campaign
 /// resume). Fails if a module name is not in the module DB.

@@ -7,11 +7,13 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/campaign.hpp"
+#include "core/campaign_journal.hpp"
 #include "core/campaign_lease.hpp"
 #include "harness/rowhammer_test.hpp"
 #include "harness/wcdp.hpp"
@@ -86,44 +88,36 @@ common::Expected<std::vector<ModulePlan>> plan_modules(
   return plans;
 }
 
-/// Checkpoint state of one run: the manifest document plus append-and-flush.
+/// Checkpoint state of one run: the manifest read at start (spec plus the
+/// records it restores, hashed for O(1) lookups) and the journal this run's
+/// records append to.
 struct ManifestCtx {
   bool enabled = false;
-  std::string path;
   CampaignManifest doc;
+  ManifestJournal journal;
+  std::unordered_map<std::string, std::size_t> wcdp_at;
+  std::unordered_map<ShardKey, std::size_t, ShardKey::Hash> shard_at;
 
   [[nodiscard]] const ManifestWcdp* find_wcdp(const std::string& module) const {
-    for (const ManifestWcdp& w : doc.wcdp) {
-      if (w.module == module) return &w;
-    }
-    return nullptr;
+    const auto it = wcdp_at.find(module);
+    return it == wcdp_at.end() ? nullptr : &doc.wcdp[it->second];
   }
   [[nodiscard]] const ManifestShard* find_shard(const std::string& module,
                                                 const AxisPoint& point,
                                                 std::uint32_t row_begin,
                                                 std::uint32_t row_end) const {
-    for (const ManifestShard& s : doc.shards) {
-      if (s.module == module && s.point == point &&
-          s.row_begin == row_begin && s.row_end == row_end) {
-        return &s;
-      }
-    }
-    return nullptr;
+    const auto it =
+        shard_at.find(ShardKey::of(module, point, row_begin, row_end));
+    return it == shard_at.end() ? nullptr : &doc.shards[it->second];
   }
-  [[nodiscard]] common::Status flush() const {
-    if (!write_campaign_manifest(path, doc)) {
-      return Error{ErrorCode::kIoError,
-                   "failed to write campaign manifest " + path};
-    }
+  /// One checkpoint: journal `record`. The first append creates the file
+  /// with `doc` -- the spec plus the restored records -- as its line 1.
+  template <typename Record>
+  [[nodiscard]] common::Status append(const Record& record) {
+    VPP_RETURN_IF_ERROR(journal.open(doc));
+    VPP_RETURN_IF_ERROR(journal.append(record));
+    campaign_checkpoint_written();
     return common::Status::ok_status();
-  }
-  [[nodiscard]] common::Status append_wcdp(ManifestWcdp record) {
-    doc.wcdp.push_back(std::move(record));
-    return flush();
-  }
-  [[nodiscard]] common::Status append_shard(ManifestShard record) {
-    doc.shards.push_back(std::move(record));
-    return flush();
   }
 };
 
@@ -133,34 +127,24 @@ common::Expected<ManifestCtx> init_manifest(const CampaignPlan& plan,
   ManifestCtx ctx;
   if (plan.manifest_path.empty()) return ctx;
   ctx.enabled = true;
-  ctx.path = plan.manifest_path;
-  const std::uint64_t hash = plan.digest(phase);
   if (std::ifstream probe(plan.manifest_path); probe.good()) {
-    VPP_ASSIGN_OR_RETURN(ctx.doc, load_campaign_manifest(plan.manifest_path));
-    if (ctx.doc.phase != phase) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "campaign manifest phase mismatch: checkpoint is " +
-                       std::string(campaign_phase_name(ctx.doc.phase)) +
-                       ", plan wants " +
-                       std::string(campaign_phase_name(phase))};
-    }
-    if (ctx.doc.plan_hash != hash) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "campaign manifest plan hash mismatch (the plan changed "
-                   "since the checkpoint was written)"};
-    }
+    VPP_ASSIGN_OR_RETURN(ManifestFile file,
+                         read_manifest_file(plan.manifest_path));
+    VPP_RETURN_IF_ERROR(
+        check_manifest_plan(file.manifest, phase, plan.digest(phase)));
+    ctx.journal = ManifestJournal(plan.manifest_path, phase, &file);
+    ctx.doc = std::move(file.manifest);
   } else {
-    ctx.doc.phase = phase;
-    ctx.doc.plan_hash = hash;
-    ctx.doc.sweep = plan.sweep;
-    ctx.doc.axes = plan.axes;
-    ctx.doc.seed = plan.seed;
-    ctx.doc.rows_per_shard = plan.rows_per_shard;
-    for (const dram::ModuleProfile& mod : plan.modules) {
-      ctx.doc.modules.emplace_back(mod.name, mod.rows_per_bank);
-    }
+    ctx.journal = ManifestJournal(plan.manifest_path, phase, nullptr);
+    ctx.doc = campaign_manifest_spec(plan, phase);
   }
   ctx.doc.planned_shards = planned_shards;
+  for (std::size_t i = 0; i < ctx.doc.wcdp.size(); ++i) {
+    ctx.wcdp_at.try_emplace(ctx.doc.wcdp[i].module, i);
+  }
+  for (std::size_t i = 0; i < ctx.doc.shards.size(); ++i) {
+    ctx.shard_at.try_emplace(ShardKey::of(ctx.doc.shards[i]), i);
+  }
   return ctx;
 }
 
@@ -390,6 +374,29 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
   }
   std::uint32_t new_shards = 0;
 
+  // The manifest records of a resolved prep and unit, shared by the journal
+  // appends and the compaction.
+  const auto wcdp_record = [&](std::size_t m) {
+    ManifestWcdp record;
+    record.module = plan.modules[m].name;
+    record.wcdp = preps[m].wcdp;
+    record.counted = preps[m].counted;
+    record.counts = preps[m].counts;
+    return record;
+  };
+  const auto shard_record = [&](std::size_t m, std::size_t p, std::size_t s) {
+    const UnitState<Traits>& unit = units[m][p * plans[m].shards.size() + s];
+    ManifestShard record;
+    record.module = plan.modules[m].name;
+    record.point = plans[m].points[p];
+    record.row_begin = static_cast<std::uint32_t>(plans[m].shards[s].begin);
+    record.row_end = static_cast<std::uint32_t>(plans[m].shards[s].end);
+    record.counted = unit.counted;
+    record.counts = unit.counts;
+    Traits::rows(record) = unit.rows;
+    return record;
+  };
+
   // Submission: drain module m's prep (in order), then fan out its
   // (point, shard) units. Units resolve against the manifest first, then
   // row-by-row against the CellStore (on this thread, in unit order, so
@@ -410,13 +417,8 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
         if (store != nullptr) store->store_wcdp(profile, preps[m].wcdp);
       }
       if (manifest.enabled && !preps[m].restored && !first_error) {
-        ManifestWcdp record;
-        record.module = profile.name;
-        record.wcdp = preps[m].wcdp;
-        record.counted = preps[m].counted;
-        record.counts = preps[m].counts;
-        if (auto st = manifest.append_wcdp(std::move(record)); !st.ok()) {
-          if (!first_error) first_error = std::move(st).error();
+        if (auto st = manifest.append(wcdp_record(m)); !st.ok()) {
+          first_error = std::move(st).error();
         }
       }
     }
@@ -486,7 +488,6 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
     for (std::size_t p = 0; p < plans[m].points.size(); ++p) {
       const AxisPoint& point = plans[m].points[p];
       for (std::size_t s = 0; s < plans[m].shards.size(); ++s) {
-        const ShardSpec shard = plans[m].shards[s];
         UnitState<Traits>& unit = units[m][p * plans[m].shards.size() + s];
         if (unit.budget_skipped) {
           if (!first_error) {
@@ -515,15 +516,7 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
           unit.resolved = true;
         }
         if (unit.resolved && !unit.in_manifest && manifest.enabled) {
-          ManifestShard record;
-          record.module = profile.name;
-          record.point = point;
-          record.row_begin = static_cast<std::uint32_t>(shard.begin);
-          record.row_end = static_cast<std::uint32_t>(shard.end);
-          record.counted = unit.counted;
-          record.counts = unit.counts;
-          Traits::rows(record) = unit.rows;
-          if (auto st = manifest.append_shard(std::move(record)); !st.ok()) {
+          if (auto st = manifest.append(shard_record(m, p, s)); !st.ok()) {
             if (!first_error) first_error = std::move(st).error();
           }
         }
@@ -531,6 +524,23 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
     }
   }
   if (first_error) return *std::move(first_error);
+
+  // The run finished: compact the journal into one canonical document --
+  // the spec, then every record in (module, point, shard) order.
+  if (manifest.journal.needs_compaction()) {
+    CampaignManifest canonical = std::move(manifest.doc);
+    canonical.wcdp.clear();
+    canonical.shards.clear();
+    for (std::size_t m = 0; m < plans.size(); ++m) {
+      if constexpr (kHasPrep) canonical.wcdp.push_back(wcdp_record(m));
+      for (std::size_t p = 0; p < plans[m].points.size(); ++p) {
+        for (std::size_t s = 0; s < plans[m].shards.size(); ++s) {
+          canonical.shards.push_back(shard_record(m, p, s));
+        }
+      }
+    }
+    VPP_RETURN_IF_ERROR(manifest.journal.compact(canonical));
+  }
 
   // Assembly in (module, point, shard) order: instrumentation job order and
   // per-row series match the pre-engine drivers exactly.

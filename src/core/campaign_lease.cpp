@@ -1,8 +1,9 @@
 #include "core/campaign_lease.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
+
+#include "common/durable_file.hpp"
 
 namespace vppstudy::core {
 
@@ -38,40 +39,18 @@ namespace {
 
 // --- ShardGridIndex ----------------------------------------------------------
 
-ShardGridIndex::Key ShardGridIndex::key_of(const std::string& module,
-                                           const AxisPoint& point,
-                                           std::uint32_t row_begin,
-                                           std::uint32_t row_end) {
-  Key key;
-  key.module = module;
-  key.vpp_mv = static_cast<std::int64_t>(vpp_millivolts(point.vpp_v));
-  key.temp_mc = temperature_millidegrees(point.temperature_c);
-  key.hammer_count = point.hammer_count;
-  key.act_ps = act_to_act_picoseconds(point.act_to_act_ns);
-  key.row_begin = row_begin;
-  key.row_end = row_end;
-  return key;
-}
-
 ShardGridIndex::ShardGridIndex(const std::vector<ShardCoord>& grid) {
-  sorted_.reserve(grid.size());
+  cells_.reserve(grid.size());
   for (const ShardCoord& coord : grid) {
-    sorted_.emplace_back(
-        key_of(coord.module, coord.point, coord.row_begin, coord.row_end),
+    cells_.try_emplace(
+        ShardKey::of(coord.module, coord.point, coord.row_begin, coord.row_end),
         &coord);
   }
-  std::sort(sorted_.begin(), sorted_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 const ShardCoord* ShardGridIndex::find(const ManifestShard& shard) const {
-  const Key key = key_of(shard.module, shard.point, shard.row_begin,
-                         shard.row_end);
-  const auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), key,
-      [](const auto& entry, const Key& k) { return entry.first < k; });
-  if (it == sorted_.end() || !(it->first == key)) return nullptr;
-  return it->second;
+  const auto it = cells_.find(ShardKey::of(shard));
+  return it == cells_.end() ? nullptr : it->second;
 }
 
 // --- Lease ledger ------------------------------------------------------------
@@ -305,9 +284,8 @@ common::Result<CampaignLeaseLedger> load_campaign_ledger(
 
 bool write_campaign_ledger(const std::string& path,
                            const CampaignLeaseLedger& ledger) {
-  const std::string tmp = path + ".tmp";
-  if (!campaign_ledger_json(ledger).write_file(tmp)) return false;
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return common::write_file_atomic(path,
+                                   {campaign_ledger_json(ledger).str(), "\n"});
 }
 
 std::string campaign_ledger_path(const std::string& manifest_path) {
@@ -393,6 +371,7 @@ common::Result<ShardMergeOutcome> merge_campaign_shards(
     }
     manifest.wcdp.insert(
         manifest.wcdp.begin() + static_cast<std::ptrdiff_t>(at), wcdp[i]);
+    outcome.new_wcdp.push_back(i);
   }
   // Shards: insert in canonical grid order; already-present indices are
   // idempotent duplicates.
@@ -407,6 +386,7 @@ common::Result<ShardMergeOutcome> merge_campaign_shards(
     const auto pos = it - existing.begin();
     existing.insert(it, at_index);
     manifest.shards.insert(manifest.shards.begin() + pos, shards[i]);
+    outcome.new_shards.push_back(i);
     ++outcome.accepted;
   }
   return outcome;

@@ -8,22 +8,28 @@
 // each worker computes its shards with run_campaign_shards (bit-identical
 // to the single-host engine, because every row is a pure function of its
 // stream key), and the coordinator merges returned ManifestShard records
-// back into one manifest in canonical order. The merged manifest is
-// therefore indistinguishable from a single-host checkpoint, and resuming
-// the engine over it reproduces the single-host CSV/JSON byte for byte.
+// back into one manifest in canonical order. On disk the coordinator
+// appends each accepted record to the manifest journal
+// (core/campaign_journal.hpp) in arrival order; a restart re-merges the
+// journal into canonical order, and completion compacts it into one
+// canonical document. The merged manifest is therefore indistinguishable
+// from a single-host checkpoint, and resuming the engine over it reproduces
+// the single-host CSV/JSON byte for byte.
 //
 // Fencing: each lease grant carries a monotonically increasing token and an
 // expiry deadline. A crashed or stalled worker's shards expire and are
 // re-leased under a *new* token; a late submission under the old token is
 // rejected with kLeaseExpired and nothing is merged -- results are never
 // double-counted even though (by determinism) a duplicate would carry the
-// same bytes. The ledger is versioned JSON persisted beside the manifest
-// (campaign_ledger_path) so a restarted coordinator resumes leases too.
+// same bytes. The ledger is versioned JSON persisted durably beside the
+// manifest (campaign_ledger_path) so a restarted coordinator resumes leases
+// too.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/expected.hpp"
@@ -53,9 +59,9 @@ struct ShardCoord {
 [[nodiscard]] common::Expected<std::vector<ShardCoord>> compile_campaign_shards(
     const CampaignPlan& plan, JobPhase phase);
 
-/// Coordinate -> grid index lookup (keys quantize the axis doubles the same
-/// way stream seeds do, so a manifest record round-tripped through JSON maps
-/// back to its cell exactly).
+/// Coordinate -> grid index lookup, hashed on ShardKey (which quantizes the
+/// axis doubles the way stream seeds do, so a manifest record round-tripped
+/// through JSON maps back to its cell exactly).
 class ShardGridIndex {
  public:
   ShardGridIndex() = default;
@@ -66,19 +72,7 @@ class ShardGridIndex {
   [[nodiscard]] const ShardCoord* find(const ManifestShard& shard) const;
 
  private:
-  struct Key {
-    std::string module;
-    std::int64_t vpp_mv = 0;
-    std::int64_t temp_mc = 0;
-    std::uint64_t hammer_count = 0;
-    std::int64_t act_ps = 0;
-    std::uint32_t row_begin = 0;
-    std::uint32_t row_end = 0;
-    friend auto operator<=>(const Key&, const Key&) = default;
-  };
-  static Key key_of(const std::string& module, const AxisPoint& point,
-                    std::uint32_t row_begin, std::uint32_t row_end);
-  std::vector<std::pair<Key, const ShardCoord*>> sorted_;
+  std::unordered_map<ShardKey, const ShardCoord*, ShardKey::Hash> cells_;
 };
 
 // --- Worker-side shard execution ---------------------------------------------
@@ -202,8 +196,11 @@ struct CampaignLeaseLedger {
     const common::JsonValue& doc);
 [[nodiscard]] common::Result<CampaignLeaseLedger> load_campaign_ledger(
     const std::string& path);
-/// Atomic write (tmp + rename), like the manifest but without the
-/// kill-after-write switch: lease state is control-plane, not results.
+/// Durable atomic write (common/durable_file.hpp), like the manifest's
+/// compaction and without the kill-after-write switch: lease state is
+/// control-plane, not results. Durability keeps fencing tokens strictly
+/// increasing across a power loss -- a token granted before the cut is
+/// never granted again.
 [[nodiscard]] bool write_campaign_ledger(const std::string& path,
                                          const CampaignLeaseLedger& ledger);
 /// Where the ledger lives for a given manifest: `<manifest>.leases.json`.
@@ -213,8 +210,12 @@ struct CampaignLeaseLedger {
 // --- Partial-manifest merge --------------------------------------------------
 
 struct ShardMergeOutcome {
-  std::size_t accepted = 0;    ///< new records inserted
+  std::size_t accepted = 0;    ///< new shard records inserted
   std::size_t duplicates = 0;  ///< already present (idempotent)
+  /// Batch positions of the inserted records, in batch order: what a
+  /// checkpoint journal must append.
+  std::vector<std::size_t> new_wcdp;
+  std::vector<std::size_t> new_shards;
 };
 
 /// Merge a worker's batch into the manifest, keeping `manifest.shards`

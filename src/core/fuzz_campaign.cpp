@@ -5,6 +5,7 @@
 #include <fstream>
 #include <utility>
 
+#include "common/durable_file.hpp"
 #include "common/rng.hpp"
 
 namespace vppstudy::core {
@@ -235,9 +236,9 @@ common::Result<FuzzManifest> load_fuzz_manifest(const std::string& path) {
 }
 
 bool write_fuzz_manifest(const std::string& path, const FuzzManifest& m) {
-  const std::string tmp = path + ".tmp";
-  if (!fuzz_manifest_json(m).write_file(tmp)) return false;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) return false;
+  if (!common::write_file_atomic(path, {fuzz_manifest_json(m).str(), "\n"})) {
+    return false;
+  }
   campaign_checkpoint_written();
   return true;
 }

@@ -19,9 +19,12 @@
 //
 // Checkpointing is two-level. The fuzz manifest (vppstudy-fuzz-manifest/1,
 // at FuzzCampaignConfig::base.manifest_path) records the config spec and
-// every completed generation's scored populations; each generation's engine
-// run checkpoints its own campaign manifest beside it at
-// fuzz_generation_manifest_path(). A killed campaign resumes from the pair:
+// every completed generation's scored populations; it is small and is
+// rewritten durably (tmp, fsync, rename, directory fsync) up front and
+// after each generation. Each generation's engine run checkpoints its own
+// campaign manifest beside it at fuzz_generation_manifest_path(): an
+// append-only journal, compacted when the generation's run finishes
+// (core/campaign_journal.hpp). A killed campaign resumes from the pair:
 // completed generations restore from the fuzz manifest without touching a
 // session, the interrupted generation resumes shard-by-shard from its
 // engine manifest, and the merged result is byte-identical to an
@@ -91,8 +94,9 @@ struct FuzzManifest {
     const common::JsonValue& doc);
 [[nodiscard]] common::Result<FuzzManifest> load_fuzz_manifest(
     const std::string& path);
-/// Atomic write (tmp + rename); advances the VPP_CAMPAIGN_KILL_AFTER
-/// counter via campaign_checkpoint_written().
+/// Durable atomic write (tmp, fsync, rename, directory fsync -- see
+/// common/durable_file.hpp); advances the VPP_CAMPAIGN_KILL_AFTER counter
+/// via campaign_checkpoint_written().
 [[nodiscard]] bool write_fuzz_manifest(const std::string& path,
                                        const FuzzManifest& m);
 /// Reconstruct the config a fuzz manifest was checkpointing (vppctl fuzz

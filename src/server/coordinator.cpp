@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 namespace vppstudy::server {
@@ -36,41 +37,35 @@ common::Result<std::unique_ptr<CampaignCoordinator>> CampaignCoordinator::open(
   coord->plan_ = std::move(plan);
 
   // Manifest: resume an existing checkpoint (the same validation the engine
-  // applies) or start a fresh spec document.
-  const core::CampaignPlan& p = coord->plan_;
-  bool have_manifest = false;
+  // applies) or start a fresh spec document. A journal holds its records in
+  // arrival order; merging them into the bare spec rebuilds the canonical
+  // order.
+  std::optional<core::ManifestFile> existing;
   if (!coord->manifest_path_.empty()) {
     if (std::ifstream probe(coord->manifest_path_); probe.good()) {
-      VPP_ASSIGN_OR_RETURN(coord->manifest_,
-                           core::load_campaign_manifest(coord->manifest_path_));
-      have_manifest = true;
-      if (coord->manifest_.phase != phase) {
-        return Error{ErrorCode::kInvalidArgument,
-                     "campaign manifest phase mismatch: checkpoint is " +
-                         std::string(core::campaign_phase_name(
-                             coord->manifest_.phase)) +
-                         ", plan wants " +
-                         std::string(core::campaign_phase_name(phase))};
-      }
-      if (coord->manifest_.plan_hash != coord->plan_hash_) {
-        return Error{ErrorCode::kInvalidArgument,
-                     "campaign manifest plan hash mismatch (the plan changed "
-                     "since the checkpoint was written)"};
-      }
+      VPP_ASSIGN_OR_RETURN(existing,
+                           core::read_manifest_file(coord->manifest_path_));
+      VPP_RETURN_IF_ERROR(core::check_manifest_plan(existing->manifest, phase,
+                                                    coord->plan_hash_));
     }
+    coord->journal_ = core::ManifestJournal(
+        coord->manifest_path_, phase, existing ? &*existing : nullptr);
   }
-  if (!have_manifest) {
-    coord->manifest_.phase = phase;
-    coord->manifest_.plan_hash = coord->plan_hash_;
-    coord->manifest_.sweep = p.sweep;
-    coord->manifest_.axes = p.axes;
-    coord->manifest_.seed = p.seed;
-    coord->manifest_.rows_per_shard = p.rows_per_shard;
-    for (const dram::ModuleProfile& mod : p.modules) {
-      coord->manifest_.modules.emplace_back(mod.name, mod.rows_per_bank);
-    }
+  std::vector<core::ManifestWcdp> restored_wcdp;
+  std::vector<core::ManifestShard> restored_shards;
+  if (existing) {
+    coord->manifest_ = std::move(existing->manifest);
+    restored_wcdp.swap(coord->manifest_.wcdp);
+    restored_shards.swap(coord->manifest_.shards);
+  } else {
+    coord->manifest_ = core::campaign_manifest_spec(coord->plan_, phase);
   }
   coord->manifest_.planned_shards = coord->grid_.size();
+  // Cache the zero-shard spec document shipped to need_plan workers.
+  coord->spec_json_ = core::campaign_manifest_json(coord->manifest_).str();
+  VPP_RETURN_IF_ERROR(core::merge_campaign_shards(
+      coord->manifest_, coord->grid_, coord->plan_hash_, restored_wcdp,
+      restored_shards));
 
   // Ledger: resume or start fresh (entries parallel to the grid).
   bool have_ledger = false;
@@ -97,45 +92,35 @@ common::Result<std::unique_ptr<CampaignCoordinator>> CampaignCoordinator::open(
   }
 
   // Reconcile: every shard already in the manifest is done, whatever the
-  // ledger thinks (a crash between the manifest flush and the ledger flush
+  // ledger thinks (a crash between the journal append and the ledger flush
   // must not re-lease merged work forever). Stats stay untouched -- the
   // submitting worker was already credited when the ledger last flushed.
+  // The merge above mapped every record onto the grid.
   for (const core::ManifestShard& shard : coord->manifest_.shards) {
-    const core::ShardCoord* coord_cell = coord->grid_index_.find(shard);
-    if (coord_cell == nullptr) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "campaign manifest holds a shard record that is not a "
-                   "cell of the plan's grid"};
-    }
-    core::LeaseEntry& entry = coord->ledger_.entries[coord_cell->index];
+    core::LeaseEntry& entry =
+        coord->ledger_.entries[coord->grid_index_.find(shard)->index];
     if (entry.state != LeaseState::kDone) {
       entry.state = LeaseState::kDone;
       entry.token = 0;
       entry.expires_at_ms = 0;
     }
   }
-
-  // Cache the zero-shard spec document shipped to need_plan workers.
-  core::CampaignManifest spec = coord->manifest_;
-  spec.wcdp.clear();
-  spec.shards.clear();
-  coord->spec_json_ = core::campaign_manifest_json(spec).str();
-
-  {
-    std::lock_guard lock(coord->mu_);
-    if (auto st = coord->flush_locked(); !st.ok()) {
-      return std::move(st).error();
-    }
-  }
+  // Nothing is written yet: the first grant opens the journal and writes
+  // the ledger, and a crash before it simply repeats this reconciliation.
   return coord;
 }
 
 common::Status CampaignCoordinator::flush_locked() {
   if (manifest_path_.empty()) return common::Status::ok_status();
-  if (!core::write_campaign_manifest(manifest_path_, manifest_)) {
-    return Error{ErrorCode::kIoError,
-                 "failed to write campaign manifest " + manifest_path_};
+  VPP_RETURN_IF_ERROR(journal_.open(manifest_));
+  if (ledger_.complete() && journal_.needs_compaction()) {
+    VPP_RETURN_IF_ERROR(journal_.compact(manifest_));
   }
+  return write_ledger_locked();
+}
+
+common::Status CampaignCoordinator::write_ledger_locked() const {
+  if (manifest_path_.empty()) return common::Status::ok_status();
   const std::string ledger_path = core::campaign_ledger_path(manifest_path_);
   if (!core::write_campaign_ledger(ledger_path, ledger_)) {
     return Error{ErrorCode::kIoError,
@@ -161,15 +146,7 @@ common::Result<LeaseGrant> CampaignCoordinator::lease(
   CampaignLeaseLedger::Grant granted =
       ledger_.lease(worker, static_cast<std::size_t>(max_shards), now_ms,
                     ttl_ms, &shard_modules_);
-  if (granted.token != 0 && !manifest_path_.empty()) {
-    // Ledger only: the manifest did not change, and an extra manifest write
-    // would shift the deterministic VPP_CAMPAIGN_KILL_AFTER count.
-    const std::string ledger_path = core::campaign_ledger_path(manifest_path_);
-    if (!core::write_campaign_ledger(ledger_path, ledger_)) {
-      return Error{ErrorCode::kIoError,
-                   "failed to write campaign lease ledger " + ledger_path};
-    }
-  }
+  if (granted.token != 0) VPP_RETURN_IF_ERROR(flush_locked());
   LeaseGrant grant = grant_snapshot_locked();
   grant.token = granted.token;
   grant.shards = std::move(granted.shards);
@@ -218,7 +195,18 @@ common::Result<SubmitOutcome> CampaignCoordinator::submit(
   for (const std::uint64_t index : mergeable) {
     ledger_.mark_done(index, worker);
   }
-  if (auto st = flush_locked(); !st.ok()) return std::move(st).error();
+  if (!manifest_path_.empty()) {
+    // One checkpoint: journal exactly the records the merge accepted.
+    VPP_RETURN_IF_ERROR(journal_.open(manifest_));
+    for (const std::size_t i : merged.new_wcdp) {
+      VPP_RETURN_IF_ERROR(journal_.append(wcdp[i]));
+    }
+    for (const std::size_t i : merged.new_shards) {
+      VPP_RETURN_IF_ERROR(journal_.append(shards[i]));
+    }
+    core::campaign_checkpoint_written();
+  }
+  VPP_RETURN_IF_ERROR(flush_locked());
 
   SubmitOutcome outcome;
   outcome.accepted = merged.accepted;
@@ -238,19 +226,18 @@ common::Result<std::uint64_t> CampaignCoordinator::heartbeat(
                  "no shard remains leased under token " +
                      core::u64_hex(token) + "; re-lease"};
   }
-  if (!manifest_path_.empty()) {
-    const std::string ledger_path = core::campaign_ledger_path(manifest_path_);
-    if (!core::write_campaign_ledger(ledger_path, ledger_)) {
-      return Error{ErrorCode::kIoError,
-                   "failed to write campaign lease ledger " + ledger_path};
-    }
-  }
+  VPP_RETURN_IF_ERROR(write_ledger_locked());
   return static_cast<std::uint64_t>(renewed);
 }
 
 bool CampaignCoordinator::complete() const {
   std::lock_guard lock(mu_);
   return ledger_.complete();
+}
+
+core::CampaignManifest CampaignCoordinator::manifest() const {
+  std::lock_guard lock(mu_);
+  return manifest_;
 }
 
 CampaignCoordinator::Status CampaignCoordinator::status() const {

@@ -12,10 +12,12 @@
 // All time-dependent operations take an explicit `now_ms` so lease expiry
 // and fencing are unit-testable without sleeping; the daemon passes
 // steady_now_ms(). With an empty manifest path the coordinator is purely
-// in-memory (tests); otherwise every accepted submit flushes the manifest
-// first and the ledger second, so a crash between the two re-leases work
-// that is already merged -- which the merge then counts as duplicates, the
-// safe direction.
+// in-memory (tests); otherwise every submit appends the records it accepted
+// to the manifest journal (core/campaign_journal.hpp) first and rewrites
+// the ledger second, so a crash between the two re-leases work that is
+// already merged -- which the merge then counts as duplicates, the safe
+// direction. The in-memory manifest stays in canonical order; when the last
+// shard lands, the journal is compacted into that canonical document.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,7 @@
 
 #include "common/expected.hpp"
 #include "core/campaign.hpp"
+#include "core/campaign_journal.hpp"
 #include "core/campaign_lease.hpp"
 #include "server/protocol.hpp"
 
@@ -39,9 +42,12 @@ class CampaignCoordinator {
  public:
   /// Compile the plan's shard grid and open (or resume) the campaign.
   /// With a non-empty `manifest_path`, an existing manifest and ledger are
-  /// loaded and validated against the plan hash; manifest shards missing
-  /// from the ledger are reconciled to done (a coordinator restart after a
-  /// crash-between-flushes must not re-lease merged work forever).
+  /// loaded and validated against the plan hash, the manifest's records are
+  /// re-merged into canonical order (a journal holds them in arrival
+  /// order), and manifest shards missing from the ledger are reconciled to
+  /// done (a coordinator restart after a crash-between-flushes must not
+  /// re-lease merged work forever). Open writes nothing: the first grant
+  /// creates a fresh campaign's manifest file (just the spec) and ledger.
   [[nodiscard]] static common::Result<std::unique_ptr<CampaignCoordinator>>
   open(core::CampaignPlan plan, core::JobPhase phase,
        std::string manifest_path);
@@ -71,6 +77,8 @@ class CampaignCoordinator {
                                                         std::int64_t now_ms);
 
   [[nodiscard]] bool complete() const;
+  /// Snapshot of the merged manifest, records in canonical order.
+  [[nodiscard]] core::CampaignManifest manifest() const;
   [[nodiscard]] std::uint64_t plan_hash() const noexcept { return plan_hash_; }
   [[nodiscard]] core::JobPhase phase() const noexcept { return phase_; }
   [[nodiscard]] const std::string& manifest_path() const noexcept {
@@ -99,8 +107,11 @@ class CampaignCoordinator {
  private:
   CampaignCoordinator() = default;
 
-  /// Manifest first, ledger second (see file comment). Caller holds mu_.
+  /// Open the journal (creating a fresh manifest file, or truncating a
+  /// torn tail), compact it once every shard is done, then rewrite the
+  /// ledger. Caller holds mu_.
   [[nodiscard]] common::Status flush_locked();
+  [[nodiscard]] common::Status write_ledger_locked() const;
   [[nodiscard]] LeaseGrant grant_snapshot_locked() const;
 
   core::CampaignPlan plan_;
@@ -116,7 +127,8 @@ class CampaignCoordinator {
   std::vector<std::size_t> shard_modules_;
 
   mutable std::mutex mu_;
-  core::CampaignManifest manifest_;
+  core::CampaignManifest manifest_;  ///< canonical order
+  core::ManifestJournal journal_;
   core::CampaignLeaseLedger ledger_;
 };
 

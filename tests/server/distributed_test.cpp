@@ -14,7 +14,9 @@
 
 #include "chips/module_db.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "core/campaign.hpp"
+#include "core/campaign_journal.hpp"
 #include "core/campaign_lease.hpp"
 #include "core/export.hpp"
 #include "server/client.hpp"
@@ -207,13 +209,39 @@ TEST(ServerCoordinator, RestartReconcilesManifestIntoLedger) {
   const std::uint64_t planned = (*first)->status().planned;
   ASSERT_GT(planned, 2u);
 
-  auto grant = (*first)->lease("w1", 2, /*ttl_ms=*/1000, /*now_ms=*/0);
-  ASSERT_TRUE(grant.has_value());
-  const core::CampaignShardBatch batch =
-      compute_batch(small_plan(), grant->shards);
-  auto merged = (*first)->submit("w1", grant->token, (*first)->plan_hash(),
-                                 batch.wcdp, batch.shards, /*now_ms=*/10);
-  ASSERT_TRUE(merged.has_value());
+  // Two grants whose batches arrive out of canonical order: the later
+  // shards are journaled first.
+  auto early = (*first)->lease("w1", 2, /*ttl_ms=*/1000, /*now_ms=*/0);
+  auto late = (*first)->lease("w1", 2, /*ttl_ms=*/1000, /*now_ms=*/0);
+  ASSERT_TRUE(early.has_value());
+  ASSERT_TRUE(late.has_value());
+  ASSERT_LT(early->shards.back(), late->shards.front());
+  const core::CampaignShardBatch early_batch =
+      compute_batch(small_plan(), early->shards);
+  const core::CampaignShardBatch late_batch =
+      compute_batch(small_plan(), late->shards);
+  for (const auto& [token, batch] :
+       {std::pair{late->token, &late_batch},
+        std::pair{early->token, &early_batch}}) {
+    auto merged = (*first)->submit("w1", token, (*first)->plan_hash(),
+                                   batch->wcdp, batch->shards, /*now_ms=*/10);
+    ASSERT_TRUE(merged.has_value()) << merged.error().to_string();
+  }
+  // The reference: both batches merged in canonical order into the spec.
+  auto spec = common::parse_json((*first)->campaign_spec_json());
+  ASSERT_TRUE(spec.has_value());
+  auto in_order = core::parse_campaign_manifest(*spec);
+  ASSERT_TRUE(in_order.has_value());
+  auto grid = core::compile_campaign_shards(small_plan(), JobPhase::kRowHammer);
+  ASSERT_TRUE(grid.has_value());
+  const auto merge_in_order = [&](const core::CampaignShardBatch& batch) {
+    ASSERT_TRUE(core::merge_campaign_shards(*in_order, *grid,
+                                            in_order->plan_hash, batch.wcdp,
+                                            batch.shards)
+                    .has_value());
+  };
+  merge_in_order(early_batch);
+  merge_in_order(late_batch);
   first->reset();  // "crash" the coordinator
 
   // A reopened coordinator resumes from the files: merged work stays done,
@@ -221,12 +249,42 @@ TEST(ServerCoordinator, RestartReconcilesManifestIntoLedger) {
   auto second =
       CampaignCoordinator::open(small_plan(), JobPhase::kRowHammer, path);
   ASSERT_TRUE(second.has_value()) << second.error().to_string();
-  EXPECT_EQ((*second)->status().done, 2u);
-  EXPECT_EQ((*second)->status().open, planned - 2);
+  EXPECT_EQ((*second)->status().done, 4u);
+  EXPECT_EQ((*second)->status().open, planned - 4);
   const auto stats = (*second)->worker_stats();
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].worker, "w1");
-  EXPECT_EQ(stats[0].completed, 2u);
+  EXPECT_EQ(stats[0].completed, 4u);
+
+  // The uncompacted journal holds the records in arrival order; reopening
+  // re-merges them into the canonical in-order manifest.
+  auto journal = core::read_manifest_file(path);
+  ASSERT_TRUE(journal.has_value()) << journal.error().to_string();
+  EXPECT_FALSE(journal->plain);
+  EXPECT_EQ(core::campaign_manifest_json((*second)->manifest()).str(),
+            core::campaign_manifest_json(*in_order).str());
+
+  // Finishing the campaign compacts the journal into exactly the in-order
+  // merge of every batch, as one plain document.
+  auto rest = (*second)->lease("w2", 0, /*ttl_ms=*/1000, /*now_ms=*/20);
+  ASSERT_TRUE(rest.has_value());
+  const core::CampaignShardBatch rest_batch =
+      compute_batch(small_plan(), rest->shards);
+  auto done = (*second)->submit("w2", rest->token, (*second)->plan_hash(),
+                                rest_batch.wcdp, rest_batch.shards,
+                                /*now_ms=*/30);
+  ASSERT_TRUE(done.has_value()) << done.error().to_string();
+  ASSERT_TRUE(done->complete);
+  merge_in_order(rest_batch);
+  const std::string canonical = core::campaign_manifest_json(*in_order).str();
+  EXPECT_EQ(core::campaign_manifest_json((*second)->manifest()).str(),
+            canonical);
+  auto compacted = core::read_manifest_file(path);
+  ASSERT_TRUE(compacted.has_value()) << compacted.error().to_string();
+  EXPECT_TRUE(compacted->plain);
+  EXPECT_EQ(core::campaign_manifest_json(compacted->manifest).str(),
+            canonical);
+  second->reset();
 
   // A changed plan must not adopt the files.
   auto mismatch = CampaignCoordinator::open(small_plan(/*seed=*/99),
