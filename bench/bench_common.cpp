@@ -1,8 +1,11 @@
 #include "bench_common.hpp"
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "chips/module_db.hpp"
 #include "common/json.hpp"
@@ -164,6 +167,17 @@ bool write_perf_snapshot(const std::string& path,
   common::JsonWriter json;
   json.begin_object();
   json.kv("schema", "vppstudy-bench-perf/1");
+  // The host's cores, so jobs=N rows can be read: nproc is the CPUs this
+  // process may run on, hardware_concurrency the machine's.
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  const int nproc =
+      sched_getaffinity(0, sizeof cpus, &cpus) == 0 ? CPU_COUNT(&cpus) : 0;
+  json.key("host").begin_object();
+  json.kv("nproc", nproc);
+  json.kv("hardware_concurrency",
+          static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.end_object();
   json.key("benchmarks").begin_array();
   for (const auto& e : entries) {
     json.begin_object();

@@ -17,6 +17,7 @@
 #include "circuit/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/campaign_journal.hpp"
+#include "dram/data_pattern.hpp"
 #include "dram/module.hpp"
 #include "harness/pattern_fuzzer.hpp"
 #include "harness/pattern_spec.hpp"
@@ -159,6 +160,21 @@ void BM_ReadRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReadRow);
+
+// Full-row initialization (ACT + 1024 WR + PRE): measure_BER writes three
+// rows per readback, so this is the larger share of Alg. 1's column traffic.
+void BM_InitRow(benchmark::State& state) {
+  auto profile = chips::profile_by_name("B3").value();
+  profile.rows_per_bank = 4096;
+  softmc::Session session(profile);
+  const auto image =
+      dram::pattern_row(dram::DataPattern::kCheckerAA, dram::kBytesPerRow);
+  for (auto _ : state) {
+    auto st = session.init_row(0, 500, image);
+    if (!st.ok()) state.SkipWithError(st.error().message.c_str());
+  }
+}
+BENCHMARK(BM_InitRow);
 
 void BM_CircuitActivation(benchmark::State& state) {
   circuit::DramCellSimParams p;

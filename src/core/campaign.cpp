@@ -123,10 +123,11 @@ void point_json(common::JsonWriter& json, const AxisPoint& p) {
 }  // namespace
 
 void campaign_checkpoint_written() {
-  static const int budget = [] {
-    const char* env = std::getenv("VPP_CAMPAIGN_KILL_AFTER");
-    return env != nullptr ? std::atoi(env) : -1;
-  }();
+  // Read on every call: a forked test child arms the switch after its
+  // parent has already checkpointed with it unset.
+  const char* env = std::getenv("VPP_CAMPAIGN_KILL_AFTER");
+  if (env == nullptr) return;
+  const int budget = std::atoi(env);
   if (budget < 0) return;
   static int writes = 0;
   if (++writes >= budget) std::raise(SIGKILL);

@@ -480,30 +480,40 @@ Status Module::precharge_all(double now_ns) {
   return Status::ok_status();
 }
 
-common::Expected<std::array<std::uint8_t, kBytesPerColumn>> Module::read(
-    std::uint32_t bank, std::uint32_t column, double now_ns) {
+common::Expected<Module::ColumnRun> Module::column_run(
+    CommandKind kind, std::uint32_t bank, std::uint32_t max_column) {
   if (auto st = check_responsive(); !st.ok()) return std::move(st).error();
   if (bank >= banks_.size()) {
     return range_error("bank", bank,
                        static_cast<std::uint32_t>(banks_.size()));
   }
-  if (column >= kColumnsPerRow) {
-    return range_error("column", column, kColumnsPerRow)
+  if (max_column >= kColumnsPerRow) {
+    return range_error("column", max_column, kColumnsPerRow)
         .with_bank(static_cast<std::int32_t>(bank));
   }
   BankState& bs = banks_[bank];
   if (bs.open_physical_row < 0) {
-    return Error{ErrorCode::kDeviceProtocol,
-                 "RD to bank " + std::to_string(bank) + " with no open row"}
+    const char* op = command_name(kind);
+    return Error{ErrorCode::kDeviceProtocol, std::string(op) + " to bank " +
+                                                 std::to_string(bank) +
+                                                 " with no open row"}
         .with_module(profile_.name)
         .with_bank(static_cast<std::int32_t>(bank))
-        .with_op("RD");
+        .with_op(op);
   }
   const auto phys = static_cast<std::uint32_t>(bs.open_physical_row);
   RowState& rs = bs.open_row_state != nullptr ? *bs.open_row_state
                                               : row_state(bs, bank, phys);
   ensure_initialized(bank, phys, rs);
-  ++stats_.reads;
+  return ColumnRun(*this, bank, phys, bs.activate_time_ns, rs);
+}
+
+std::array<std::uint8_t, kBytesPerColumn> Module::ColumnRun::read(
+    std::uint32_t column, double now_ns) {
+  Module& m = *module_;
+  RowState& rs = *row_;
+  const std::uint32_t phys = physical_row_;
+  ++m.stats_.reads;
 
   std::array<std::uint8_t, kBytesPerColumn> out{};
   std::copy_n(rs.data.begin() + column * kBytesPerColumn, kBytesPerColumn,
@@ -513,67 +523,60 @@ common::Expected<std::array<std::uint8_t, kBytesPerColumn>> Module::read(
   // values for those cells (the data in the array is unaffected -- the row
   // buffer simply had not settled). A small per-read jitter models the
   // analog noise of marginal timing.
-  const double trcd_ns = now_ns - bs.activate_time_ns;
-  const CellPhysics::RowParams& rp = cached_row_params(bank, phys, rs);
+  const double trcd_ns = now_ns - activate_ns_;
+  const CellPhysics::RowParams& rp = m.cached_row_params(bank_, phys, rs);
   RowPhysicsCache& pc = *rs.physics;
-  if (pc.trcd_mean_vpp != vpp_v_) {
-    pc.trcd_mean_ns = physics_.trcd_row_mean_ns(rp, vpp_v_);
-    pc.trcd_mean_vpp = vpp_v_;
+  if (pc.trcd_mean_vpp != m.vpp_v_) {
+    pc.trcd_mean_ns = m.physics_.trcd_row_mean_ns(rp, m.vpp_v_);
+    pc.trcd_mean_vpp = m.vpp_v_;
   }
   // The jitter draw position is consumed whether or not the draw's value can
   // matter (keeping the noise-counter sequence identical); the draw and the
   // failure evaluation are skipped when no representable jitter could make
   // the read marginal (see CellPhysics::trcd_certainly_safe).
-  ++read_noise_counter_;
+  ++m.read_noise_counter_;
   double p_fail = 0.0;
-  if (!physics_.trcd_certainly_safe(pc.trcd_mean_ns, trcd_ns)) {
+  if (!m.physics_.trcd_certainly_safe(pc.trcd_mean_ns, trcd_ns)) {
     const double jitter =
-        0.04 * common::normal_at({profile_.seed ^ noise_stream_,
-                                  read_noise_counter_, 0x7eadULL});
-    p_fail = physics_.trcd_fail_probability(rp, trcd_ns + jitter, vpp_v_);
+        0.04 * common::normal_at({m.profile_.seed ^ m.noise_stream_,
+                                  m.read_noise_counter_, 0x7eadULL});
+    p_fail = m.physics_.trcd_fail_probability(rp, trcd_ns + jitter, m.vpp_v_);
   }
   if (p_fail > kNegligibleCellProbability) {
     const double threshold = 1.0 - p_fail;
     for (std::uint32_t i = 0; i < kBytesPerColumn * 8; ++i) {
       const std::uint32_t bit = column * kBytesPerColumn * 8 + i;
-      if (physics_.cell_uniform(bank, phys, bit,
-                                CellPhysics::CellDraw::kTrcd) > threshold) {
+      if (m.physics_.cell_uniform(bank_, phys, bit,
+                                  CellPhysics::CellDraw::kTrcd) > threshold) {
         out[i / 8] = static_cast<std::uint8_t>(out[i / 8] ^ (1u << (i % 8)));
-        ++stats_.trcd_read_errors;
+        ++m.stats_.trcd_read_errors;
       }
     }
   }
   return out;
 }
 
+void Module::ColumnRun::write(
+    std::uint32_t column, std::span<const std::uint8_t, kBytesPerColumn> data) {
+  std::copy(data.begin(), data.end(),
+            row_->data.begin() + column * kBytesPerColumn);
+  ++module_->stats_.writes;
+}
+
+common::Expected<std::array<std::uint8_t, kBytesPerColumn>> Module::read(
+    std::uint32_t bank, std::uint32_t column, double now_ns) {
+  auto run = column_run(CommandKind::kRead, bank, column);
+  if (!run) return std::move(run).error();
+  return run->read(column, now_ns);
+}
+
 Status Module::write(std::uint32_t bank, std::uint32_t column,
                      std::span<const std::uint8_t, kBytesPerColumn> data,
                      double now_ns) {
   (void)now_ns;
-  if (auto st = check_responsive(); !st.ok()) return st;
-  if (bank >= banks_.size()) {
-    return range_error("bank", bank,
-                       static_cast<std::uint32_t>(banks_.size()));
-  }
-  if (column >= kColumnsPerRow) {
-    return range_error("column", column, kColumnsPerRow)
-        .with_bank(static_cast<std::int32_t>(bank));
-  }
-  BankState& bs = banks_[bank];
-  if (bs.open_physical_row < 0) {
-    return Error{ErrorCode::kDeviceProtocol,
-                 "WR to bank " + std::to_string(bank) + " with no open row"}
-        .with_module(profile_.name)
-        .with_bank(static_cast<std::int32_t>(bank))
-        .with_op("WR");
-  }
-  const auto phys = static_cast<std::uint32_t>(bs.open_physical_row);
-  RowState& rs = bs.open_row_state != nullptr ? *bs.open_row_state
-                                              : row_state(bs, bank, phys);
-  ensure_initialized(bank, phys, rs);
-  std::copy(data.begin(), data.end(),
-            rs.data.begin() + column * kBytesPerColumn);
-  ++stats_.writes;
+  auto run = column_run(CommandKind::kWrite, bank, column);
+  if (!run) return std::move(run).error();
+  run->write(column, data);
   return Status::ok_status();
 }
 

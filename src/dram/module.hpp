@@ -42,6 +42,8 @@ struct ModuleStats {
 };
 
 class Module {
+  struct RowState;
+
  public:
   /// Behavioral switches that do not belong to the device profile.
   struct Options {
@@ -141,6 +143,43 @@ class Module {
   [[nodiscard]] common::Status write(
       std::uint32_t bank, std::uint32_t column,
       std::span<const std::uint8_t, kBytesPerColumn> data, double now_ns);
+  /// A validated run of column commands on one bank's open row. column_run()
+  /// makes the checks read()/write() make per command -- responsive, bank,
+  /// column range, open row -- once for the whole run, so the per-column
+  /// calls below re-check nothing. read()/write() are one-column runs: this
+  /// is the only per-column implementation. A run stays valid until the
+  /// next non-column command or rail change on the module.
+  class ColumnRun {
+   public:
+    /// One RD burst at `now_ns` (tRCD-marginal reads return corrupted data).
+    [[nodiscard]] std::array<std::uint8_t, kBytesPerColumn> read(
+        std::uint32_t column, double now_ns);
+    void write(std::uint32_t column,
+               std::span<const std::uint8_t, kBytesPerColumn> data);
+
+   private:
+    friend class Module;
+    ColumnRun(Module& module, std::uint32_t bank, std::uint32_t physical_row,
+              double activate_ns, RowState& row)
+        : module_(&module),
+          bank_(bank),
+          physical_row_(physical_row),
+          activate_ns_(activate_ns),
+          row_(&row) {}
+
+    Module* module_;
+    std::uint32_t bank_;
+    std::uint32_t physical_row_;
+    double activate_ns_;  ///< when the open row was activated
+    RowState* row_;
+  };
+  /// Open a run of `kind` (kRead or kWrite) commands on `bank` addressing
+  /// columns up to `max_column`. Fails with the error read()/write() would
+  /// return for a `kind` command on `bank` at `max_column`.
+  [[nodiscard]] common::Expected<ColumnRun> column_run(CommandKind kind,
+                                                       std::uint32_t bank,
+                                                       std::uint32_t max_column);
+
   /// One REF command: refreshes the next stripe of rows in every bank and
   /// gives TRR its chance to act.
   [[nodiscard]] common::Status refresh(double now_ns);

@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/units.hpp"
+
 namespace vppstudy::softmc {
 
 CommandCounts& CommandCounts::operator+=(const CommandCounts& other) noexcept {
@@ -30,6 +32,20 @@ std::string CommandCounts::summary() const {
                 refreshes, timing_violations, device_errors,
                 simulated_ns / 1e6);
   return buf;
+}
+
+void SessionCounters::on_column_run(std::span<const Instruction> run,
+                                    double start_ns) {
+  if (run.empty()) return;
+  double now = start_ns;
+  for (const Instruction& inst : run) {
+    const double from = now;
+    now += inst.slots_after_previous * common::kCommandSlotNs;
+    counts_.simulated_ns += now - from;
+  }
+  (run.front().kind == dram::CommandKind::kRead ? counts_.reads
+                                                 : counts_.writes) +=
+      run.size();
 }
 
 void SessionCounters::on_command(const Instruction& inst, double now_ns) {

@@ -51,6 +51,10 @@ class SessionCounters final : public SessionObserver {
     counts_.simulated_ns += to_ns - from_ns;
   }
   void on_command(const Instruction& inst, double now_ns) override;
+  /// The replay's clock sums, one addition per command (bit-exact), and
+  /// one count bump for the run.
+  void on_column_run(std::span<const Instruction> run,
+                     double start_ns) override;
   void on_hammer(std::uint32_t bank, std::uint64_t count, double act_to_act_ns,
                  double start_ns, double end_ns) override {
     (void)bank;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/units.hpp"
+#include "softmc/timing_checker.hpp"
 
 namespace vppstudy::softmc {
 
@@ -10,9 +11,34 @@ using common::Error;
 using common::ErrorCode;
 using common::Status;
 
-CommandDispatcher::CommandDispatcher(
-    dram::Module& module, const std::vector<TimingViolation>& violation_log)
-    : module_(module), violation_log_(violation_log) {}
+namespace {
+
+/// An instruction a column run can hold: a plain RD/WR with no extra wait.
+bool runnable(const Instruction& inst) noexcept {
+  return (inst.kind == dram::CommandKind::kRead ||
+          inst.kind == dram::CommandKind::kWrite) &&
+         inst.loop_count == 0 && inst.extra_wait_ns <= 0.0;
+}
+
+/// One past the last instruction of the maximal column run starting at
+/// `begin` (same kind, same bank); `begin` when none starts there.
+std::size_t column_run_end(std::span<const Instruction> insts,
+                           std::size_t begin) {
+  const Instruction& first = insts[begin];
+  if (!runnable(first)) return begin;
+  std::size_t end = begin + 1;
+  while (end < insts.size() && runnable(insts[end]) &&
+         insts[end].kind == first.kind && insts[end].bank == first.bank) {
+    ++end;
+  }
+  return end;
+}
+
+}  // namespace
+
+CommandDispatcher::CommandDispatcher(dram::Module& module,
+                                     const TimingChecker& checker)
+    : module_(module), checker_(checker) {}
 
 void CommandDispatcher::add_observer(SessionObserver* observer) {
   if (observer == nullptr) return;
@@ -41,10 +67,9 @@ void CommandDispatcher::notify_command(const Instruction& inst,
 }
 
 void CommandDispatcher::notify_new_violations(std::size_t watermark) {
-  for (std::size_t i = watermark; i < violation_log_.size(); ++i) {
-    for (SessionObserver* obs : observers_) {
-      obs->on_violation(violation_log_[i]);
-    }
+  const std::vector<TimingViolation>& log = checker_.violations();
+  for (std::size_t i = watermark; i < log.size(); ++i) {
+    for (SessionObserver* obs : observers_) obs->on_violation(log[i]);
   }
 }
 
@@ -53,7 +78,7 @@ bool CommandDispatcher::issue_one(const Instruction& inst,
   // The timing checker is the first observer: it sees the command at its
   // issue timestamp before the device acts on it (hammer loops are
   // checked when the loop retires, via on_hammer below).
-  std::size_t watermark = violation_log_.size();
+  std::size_t watermark = checker_.violations().size();
   notify_command(inst, clock_ns);
   notify_new_violations(watermark);
 
@@ -72,7 +97,7 @@ bool CommandDispatcher::issue_one(const Instruction& inst,
                     : module_.hammer_pair(inst.bank, inst.row, inst.loop_row_b,
                                           inst.loop_count,
                                           inst.loop_act_to_act_ns, now);
-        watermark = violation_log_.size();
+        watermark = checker_.violations().size();
         for (SessionObserver* obs : observers_) {
           if (single) {
             obs->on_hammer_single(inst.bank, inst.loop_count,
@@ -132,50 +157,109 @@ bool CommandDispatcher::issue_one(const Instruction& inst,
   return true;
 }
 
+CommandDispatcher::RunOutcome CommandDispatcher::issue_run(
+    std::span<const Instruction> run, ExecutionResult& result,
+    double& clock_ns) {
+  const Instruction& first = run.front();
+  if (checker_.flags_column(
+          first.bank,
+          clock_ns + first.slots_after_previous * common::kCommandSlotNs)) {
+    return RunOutcome::kFlagged;
+  }
+  std::uint32_t max_column = 0;
+  for (const Instruction& inst : run) {
+    max_column = std::max(max_column, inst.column);
+  }
+  auto device = module_.column_run(first.kind, first.bank, max_column);
+  if (!device) return RunOutcome::kRejected;
+
+  for (SessionObserver* obs : observers_) obs->on_column_run(run, clock_ns);
+  const bool reading = first.kind == dram::CommandKind::kRead;
+  for (const Instruction& inst : run) {
+    clock_ns += inst.slots_after_previous * common::kCommandSlotNs;
+    if (reading) {
+      result.reads.push_back(device->read(inst.column, clock_ns));
+    } else {
+      device->write(inst.column, inst.write_data);
+    }
+  }
+  return RunOutcome::kIssued;
+}
+
+bool CommandDispatcher::dispatch_one(const Instruction& original,
+                                     ExecutionResult& result,
+                                     double& clock_ns) {
+  // With no interceptor this reduces to advance + issue_one on the original
+  // instruction -- no copy, identical behavior to the pre-interceptor
+  // dispatch loop.
+  Instruction mutated;
+  const Instruction* inst = &original;
+  CommandInterceptor::Decision decision;
+  if (interceptor_ != nullptr) {
+    mutated = original;
+    decision = interceptor_->intercept(mutated, clock_ns);
+    inst = &mutated;
+  }
+
+  advance(clock_ns, inst->slots_after_previous * common::kCommandSlotNs);
+  if (inst->extra_wait_ns > 0.0) advance(clock_ns, inst->extra_wait_ns);
+
+  if (decision.action == CommandInterceptor::Action::kDrop) {
+    // The command left the host but never reached the device: time still
+    // passes, but no observer sees it (the trace ring must mirror the
+    // device's view so a captured dump replays the failure faithfully).
+    return true;
+  }
+  if (decision.action == CommandInterceptor::Action::kFail) {
+    result.status = std::move(decision.error)
+                        .with_op(dram::command_name(inst->kind))
+                        .with_bank(static_cast<std::int32_t>(inst->bank));
+    for (SessionObserver* obs : observers_) {
+      obs->on_error(result.status.error(), clock_ns);
+    }
+    return false;
+  }
+
+  if (!issue_one(*inst, result, clock_ns)) return false;
+  if (decision.action == CommandInterceptor::Action::kDuplicate) {
+    advance(clock_ns, common::kCommandSlotNs);
+    return issue_one(*inst, result, clock_ns);
+  }
+  return true;
+}
+
 ExecutionResult CommandDispatcher::execute(const Program& program,
                                            double& clock_ns) {
   ExecutionResult result;
   result.reads.reserve(program.read_count());
-  const std::size_t violations_before = violation_log_.size();
-  for (const Instruction& original : program.instructions()) {
-    // With no interceptor this loop body reduces to advance + issue_one on
-    // the original instruction -- no copy, identical behavior to the
-    // pre-interceptor dispatch loop.
-    Instruction mutated;
-    const Instruction* inst = &original;
-    CommandInterceptor::Decision decision;
-    if (interceptor_ != nullptr) {
-      mutated = original;
-      decision = interceptor_->intercept(mutated, clock_ns);
-      inst = &mutated;
-    }
-
-    advance(clock_ns, inst->slots_after_previous * common::kCommandSlotNs);
-    if (inst->extra_wait_ns > 0.0) advance(clock_ns, inst->extra_wait_ns);
-
-    if (decision.action == CommandInterceptor::Action::kDrop) {
-      // The command left the host but never reached the device: time still
-      // passes, but no observer sees it (the trace ring must mirror the
-      // device's view so a captured dump replays the failure faithfully).
-      continue;
-    }
-    if (decision.action == CommandInterceptor::Action::kFail) {
-      result.status = std::move(decision.error)
-                          .with_op(dram::command_name(inst->kind))
-                          .with_bank(static_cast<std::int32_t>(inst->bank));
-      for (SessionObserver* obs : observers_) {
-        obs->on_error(result.status.error(), clock_ns);
+  const std::size_t violations_before = checker_.violations().size();
+  const std::span<const Instruction> insts = program.instructions();
+  // [i, run_end) is what is left of the column run at i. Runs are only
+  // formed without an interceptor: fault plans address single commands.
+  std::size_t run_end = 0;
+  bool rejected = false;
+  for (std::size_t i = 0; i < insts.size(); ++i) {
+    if (interceptor_ == nullptr) {
+      if (i >= run_end) {
+        run_end = column_run_end(insts, i);
+        rejected = false;
       }
-      break;
+      if (!rejected && run_end - i > 1) {
+        const RunOutcome outcome =
+            issue_run(insts.subspan(i, run_end - i), result, clock_ns);
+        if (outcome == RunOutcome::kIssued) {
+          i = run_end - 1;
+          continue;
+        }
+        // A run the device rejects goes per command to its end, so the
+        // error surfaces at its command; a flagged one issues its first
+        // command alone and retries the rest as a run.
+        rejected = outcome == RunOutcome::kRejected;
+      }
     }
-
-    if (!issue_one(*inst, result, clock_ns)) break;
-    if (decision.action == CommandInterceptor::Action::kDuplicate) {
-      advance(clock_ns, common::kCommandSlotNs);
-      if (!issue_one(*inst, result, clock_ns)) break;
-    }
+    if (!dispatch_one(insts[i], result, clock_ns)) break;
   }
-  result.timing_violations = violation_log_.size() - violations_before;
+  result.timing_violations = checker_.violations().size() - violations_before;
   return result;
 }
 

@@ -11,9 +11,11 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/units.hpp"
 #include "dram/types.hpp"
 #include "softmc/program.hpp"
 
@@ -35,6 +37,8 @@ struct TimingViolation {
 /// time), on_command (at issue, before the device acts), then -- after the
 /// device acts -- on_hammer for loop instructions, on_violation for each
 /// new timing violation, and on_error if the device rejected the command.
+/// Runs of column commands arrive through on_column_run, whose default
+/// replays exactly that per-command sequence.
 class SessionObserver {
  public:
   virtual ~SessionObserver() = default;
@@ -50,6 +54,26 @@ class SessionObserver {
   virtual void on_command(const Instruction& inst, double now_ns) {
     (void)inst;
     (void)now_ns;
+  }
+  /// A run of column commands issues: `run` holds consecutive RD (or WR)
+  /// instructions of one kind on one bank with no extra waits; the first
+  /// issues `slots_after_previous` slots after `start_ns`, each later one
+  /// that many slots after its predecessor. The dispatcher delivers a run
+  /// only when the device accepts all of it and the timing checker flags
+  /// none of it, so no on_violation or on_error falls inside a run, and it
+  /// notifies every observer of the whole run before the device acts on it.
+  /// The default replays on_clock_advance + on_command per instruction at
+  /// the same issue times; an override must leave the observer in the same
+  /// state that replay would.
+  virtual void on_column_run(std::span<const Instruction> run,
+                             double start_ns) {
+    double now = start_ns;
+    for (const Instruction& inst : run) {
+      const double from = now;
+      now += inst.slots_after_previous * common::kCommandSlotNs;
+      on_clock_advance(from, now);
+      on_command(inst, now);
+    }
   }
   /// A hammer loop retired: `count` activations of each aggressor at
   /// `act_to_act_ns` spacing between start_ns and end_ns.

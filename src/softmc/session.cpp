@@ -25,7 +25,7 @@ Session::Session(dram::ModuleProfile profile)
       timing_(dram::timing_for_speed_grade(module_.profile().frequency_mts)),
       rail_(common::kNominalVppV),
       checker_(timing_),
-      dispatcher_(module_, checker_.violations()),
+      dispatcher_(module_, checker_),
       ops_(timing_) {
   module_.set_vpp(rail_.voltage());
   module_.set_temperature(chamber_.temperature_c());

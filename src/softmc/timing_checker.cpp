@@ -1,5 +1,7 @@
 #include "softmc/timing_checker.hpp"
 
+#include "common/units.hpp"
+
 namespace vppstudy::softmc {
 
 TimingChecker::TimingChecker(dram::Ddr4Timing timing)
@@ -56,16 +58,31 @@ void TimingChecker::observe(dram::CommandKind kind, std::uint32_t bank,
       break;
     }
     case dram::CommandKind::kRead:
-    case dram::CommandKind::kWrite: {
-      const double since_act = now_ns - bt.last_act;
-      if (bt.open && since_act < timing_.t_rcd_ns - 1e-9) {
-        record("tRCD", bank, timing_.t_rcd_ns, since_act, now_ns);
+    case dram::CommandKind::kWrite:
+      if (flags_column(bank, now_ns)) {
+        record("tRCD", bank, timing_.t_rcd_ns, now_ns - bt.last_act, now_ns);
       }
       break;
-    }
     case dram::CommandKind::kRefresh:
     case dram::CommandKind::kNop:
       break;
+  }
+}
+
+bool TimingChecker::flags_column(std::uint32_t bank,
+                                 double now_ns) const noexcept {
+  if (bank >= banks_.size()) return false;
+  const BankTimes& bt = banks_[bank];
+  return bt.open && now_ns - bt.last_act < timing_.t_rcd_ns - 1e-9;
+}
+
+void TimingChecker::on_column_run(std::span<const Instruction> run,
+                                  double start_ns) {
+  double now = start_ns;
+  for (const Instruction& inst : run) {
+    now += inst.slots_after_previous * common::kCommandSlotNs;
+    if (!flags_column(inst.bank, now)) return;
+    observe(inst.kind, inst.bank, now);
   }
 }
 

@@ -25,6 +25,12 @@ class TimingChecker : public SessionObserver {
   /// Observe a bulk hammer loop (checked against tRC once).
   void observe_hammer(std::uint32_t bank, std::uint64_t count,
                       double act_to_act_ns, double start_ns, double end_ns);
+  /// Whether a RD/WR to `bank` at `now_ns` would be flagged (tRCD). Column
+  /// commands leave the checker's state alone, so along a run of them on
+  /// one bank only a prefix can be flagged: the dispatcher asks this for a
+  /// run's first command before issuing the run in bulk.
+  [[nodiscard]] bool flags_column(std::uint32_t bank,
+                                  double now_ns) const noexcept;
 
   // --- SessionObserver -------------------------------------------------------
   /// Loop instructions are skipped here (their timing is checked when the
@@ -33,6 +39,10 @@ class TimingChecker : public SessionObserver {
     if (inst.loop_count > 0) return;
     observe(inst.kind, inst.bank, now_ns);
   }
+  /// Checks the run's flagged prefix (empty for every run the dispatcher
+  /// delivers), then stops: later commands issue no earlier.
+  void on_column_run(std::span<const Instruction> run,
+                     double start_ns) override;
   void on_hammer(std::uint32_t bank, std::uint64_t count,
                  double act_to_act_ns, double start_ns,
                  double end_ns) override {
