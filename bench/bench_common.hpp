@@ -16,8 +16,6 @@
 #include "chips/module_db.hpp"
 #include "common/thread_pool.hpp"
 #include "core/campaign.hpp"
-#include "core/parallel_study.hpp"
-#include "core/study.hpp"
 #include "dram/profile.hpp"
 #include "stats/descriptive.hpp"
 
@@ -56,15 +54,22 @@ struct BenchOptions {
 /// Sweep config assembled from bench options.
 [[nodiscard]] core::SweepConfig sweep_config(const BenchOptions& opt);
 
-/// Engine config over the first `max_modules` profiles with the shared grid.
-[[nodiscard]] core::StudyConfig study_config(const BenchOptions& opt);
-
-/// The same configuration lifted into the multi-axis engine's vocabulary: a
-/// VPP-only CampaignPlan over the bench modules. Benches that sweep extra
-/// axes start from this and populate `axes` (and every bench sweep now runs
-/// through the one CampaignEngine, so figure output and `vppctl campaign`
-/// output come from the same code path).
+/// A VPP-only CampaignPlan over the first `max_modules` profiles with the
+/// shared grid, seed and job count. Benches that sweep extra axes start from
+/// this and populate `axes` (every bench sweep runs through the one
+/// CampaignEngine, so figure output and `vppctl campaign` output come from
+/// the same code path).
 [[nodiscard]] core::CampaignPlan campaign_plan(const BenchOptions& opt);
+
+/// One module's RowHammer / retention sweep over `sweep`: a one-module plan
+/// run inline (jobs = 1) at seed 0. The driver of the per-module benches
+/// whose VPP grid depends on the module (e.g. {2.5V, VPPmin}); they fan
+/// modules out with parallel_module_map.
+[[nodiscard]] common::Expected<core::ModuleSweepResult> module_rowhammer_sweep(
+    const dram::ModuleProfile& profile, const core::SweepConfig& sweep);
+[[nodiscard]] common::Expected<core::RetentionSweepResult>
+module_retention_sweep(const dram::ModuleProfile& profile,
+                       const core::SweepConfig& sweep);
 
 /// The first `max_modules` profiles.
 [[nodiscard]] std::vector<dram::ModuleProfile> bench_modules(

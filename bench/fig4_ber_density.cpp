@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
           -> common::Expected<VendorRows> {
         auto module_cfg = cfg;
         module_cfg.vpp_levels = {2.5, profile.vppmin_v};
-        core::Study study(profile);
-        auto sweep = study.rowhammer_sweep(module_cfg);
+        auto sweep = bench::module_rowhammer_sweep(profile, module_cfg);
         if (!sweep) return sweep.error();
         return VendorRows{
             profile.mfr,

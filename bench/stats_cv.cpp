@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/units.hpp"
 #include "harness/rowhammer_test.hpp"
+#include "softmc/session.hpp"
 #include "stats/descriptive.hpp"
 
 int main() {
@@ -20,8 +22,10 @@ int main() {
   std::size_t done = 0;
   for (const auto& profile : chips::all_profiles()) {
     if (done++ >= std::min<std::size_t>(opt.max_modules, 10)) break;
-    core::Study study(profile);
-    auto& session = study.session();
+    // Characterization rig (section 4.1): refresh disabled, 50C.
+    softmc::Session session(profile);
+    session.set_auto_refresh(false);
+    (void)session.set_temperature(common::kHammerTestTempC);
     // Enable the rig's iteration-to-iteration noise (thermal / supply
     // fluctuations); default runs are bit-exact for reproducibility.
     session.module().set_measurement_noise(0.03);

@@ -23,7 +23,7 @@ inline constexpr double kNominalVppV = 2.5;
 /// Nominal core supply voltage.
 inline constexpr double kNominalVddV = 1.2;
 
-// --- Study temperature setpoints (section 4.1) ------------------------------
+// --- Characterization temperature setpoints (section 4.1) -------------------
 /// RowHammer and tRCD characterization temperature.
 inline constexpr double kHammerTestTempC = 50.0;
 /// Retention characterization temperature (upper bound of normal range).

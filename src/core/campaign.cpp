@@ -357,17 +357,6 @@ common::Result<ManifestShard> parse_manifest_shard(const JsonValue& item,
   return shard;
 }
 
-CampaignPlan CampaignPlan::from_study(StudyConfig config) {
-  CampaignPlan plan;
-  plan.sweep = std::move(config.sweep);
-  plan.modules = std::move(config.modules);
-  plan.seed = config.seed;
-  plan.jobs = config.jobs;
-  plan.rows_per_shard = config.rows_per_shard;
-  plan.cancel = config.cancel;
-  return plan;
-}
-
 std::uint64_t CampaignPlan::digest(JobPhase phase) const {
   std::uint64_t h = common::hash_key(
       {0x766361706c616eULL,  // "vcaplan" domain separator

@@ -1,15 +1,15 @@
-// The unified campaign engine.
+// The campaign engine: the one sweep API.
 //
-// One layered orchestrator replaces the four historical drivers (core/study
-// serial, core/parallel_study sharded, core/resilient_study retry/quarantine,
-// and the vppd service's in-house shard planner): a declarative CampaignPlan
-// -- sweep + extra axes + modules + seed + shard granularity -- is compiled
-// into (module, grid point, row-range shard) units and executed by
-// CampaignEngine on a work-stealing pool with worker-local session arenas.
-// The old facades survive as thin adapters and their outputs stay
-// byte-identical: a VPP-only plan produces exactly the job set, stream keys,
-// and assembly order the pre-engine code produced (core/axis.hpp explains
-// the seed-normalization rule that makes this hold).
+// A declarative CampaignPlan -- sweep + extra axes + modules + seed + shard
+// granularity -- is compiled into (module, grid point, row-range shard) units
+// and executed by CampaignEngine on a work-stealing pool with worker-local
+// session arenas. Benches, vppctl, the vppd service and distributed workers
+// all run their sweeps through it. A VPP-only plan produces exactly the job
+// set, stream keys, and assembly order of the paper's (module x VPP) grid
+// (core/axis.hpp explains the seed-normalization rule that makes this hold),
+// and each grid's to_sweep() reduces it to the per-module result structs of
+// core/study.hpp. CampaignEngine::run_resilient is the retry/quarantine form
+// of the RowHammer campaign under injected faults.
 //
 // Layers the engine composes:
 //
@@ -53,9 +53,11 @@
 #include "common/thread_pool.hpp"
 #include "core/axis.hpp"
 #include "core/parallel_study.hpp"
-#include "core/resilient_study.hpp"
 #include "core/study.hpp"
 #include "dram/profile.hpp"
+#include "harness/recovery.hpp"
+#include "softmc/fault_injector.hpp"
+#include "softmc/trace_dump.hpp"
 
 namespace vppstudy::softmc {
 class Session;
@@ -70,11 +72,29 @@ struct CampaignPlan {
   SweepConfig sweep;
   CampaignAxes axes;
   std::vector<dram::ModuleProfile> modules;
+  /// Base seed of the per-row noise streams. Campaigns with different seeds
+  /// see independent measurement noise; the device physics (which cells are
+  /// weak, where flips land) is keyed by each module's own profile seed and
+  /// does not change.
   std::uint64_t seed = 0;
-  /// Worker threads (StudyConfig::jobs semantics). Not part of the plan
-  /// identity: any jobs count produces byte-identical results.
+  /// Worker threads: 1 runs jobs inline on the calling thread (serial),
+  /// >= 2 spawns that many workers, 0 or negative uses all hardware threads.
+  /// The engine additionally drops to inline execution when the planned job
+  /// count is too small for a pool to pay off, and never spawns more workers
+  /// than there are jobs. Not part of the plan identity: any jobs count
+  /// produces byte-identical results.
   int jobs = 1;
+  /// Shard granularity: sampled rows per shard job within one (module, grid
+  /// point) cell. Smaller shards expose more parallelism when the grid has
+  /// fewer cells than cores; 0 means one shard per cell. Per-row noise
+  /// streams make results bit-identical at any value, but the value fixes
+  /// the manifest's canonical shard grid, so it is part of digest().
   std::uint32_t rows_per_shard = 4;
+  /// Cooperative cancellation: shard jobs poll this between sampled rows and
+  /// fail with kCancelled, so a cancelled campaign drains in at most one
+  /// row's worth of work per in-flight shard. Rows finished before the
+  /// cancel are complete and valid (never torn) -- the vppd result cache
+  /// relies on that. Default token never cancels.
   common::CancelToken cancel;
   /// Checkpoint file; empty disables checkpointing. The manifest is keyed
   /// by digest(phase), so one path serves one (plan, phase) pair.
@@ -84,9 +104,6 @@ struct CampaignPlan {
   /// deterministic "kill mid-campaign" used by the resume tests, and a
   /// budget knob for incremental fill-in of big grids.
   std::uint32_t max_new_shards = 0;
-
-  /// Lift a legacy StudyConfig into a VPP-only plan (the facade path).
-  [[nodiscard]] static CampaignPlan from_study(StudyConfig config);
 
   /// Hash of every result-affecting plan input for `phase`: seed, sampling,
   /// phase configs, VPP levels, axes, shard granularity (the manifest's
@@ -360,6 +377,45 @@ void campaign_checkpoint_written();
 [[nodiscard]] common::Result<CampaignPlan> plan_from_manifest(
     const CampaignManifest& manifest);
 
+// --- Resilient campaign results ---------------------------------------------
+
+/// Outcome of one module's resilient campaign (CampaignEngine::run_resilient).
+struct ModuleCampaignResult {
+  std::string module_name;
+  bool completed = false;
+  std::uint32_t attempts = 0;  ///< sessions-of-record: 1 + retries
+  /// The final failure (quarantined modules only).
+  common::ErrorCode error_code = common::ErrorCode::kUnknown;
+  std::string error_message;
+  /// Valid when completed.
+  ModuleSweepResult sweep;
+  /// Injection tallies of the final attempt (what the module survived or
+  /// died to).
+  softmc::FaultInjector::InjectionCounts injections;
+  /// Replayable evidence of the failing session (quarantined modules only).
+  bool has_dump = false;
+  softmc::TraceDump dump;
+};
+
+/// A resilient campaign. Quarantined modules keep their failure evidence and
+/// are excluded from cross-module statistics (hc_first_cv); partial results
+/// export via core/export's campaign CSV/JSON with explicit status markers.
+struct CampaignResult {
+  std::vector<ModuleCampaignResult> modules;  ///< plan order
+  /// All sessions the campaign ran, failed attempts included, with retry
+  /// and quarantine accounting.
+  SweepInstrumentation instrumentation;
+  std::vector<harness::QuarantineRecord> quarantines;
+
+  [[nodiscard]] std::size_t completed_count() const noexcept;
+  /// Coefficient of variation of module-min HCfirst at the nominal level,
+  /// across *completed* modules only -- quarantined modules carry partial
+  /// or no data and would bias the spread (the paper's CV-across-repeats
+  /// methodology, section 4.6, applied across modules). 0 with fewer than
+  /// two completed modules.
+  [[nodiscard]] double hc_first_cv() const;
+};
+
 /// External execution context: the vppd daemon keeps a long-lived pool with
 /// warm session arenas across requests and lends it to each engine run. Both
 /// pointers must outlive the engine; pass {} to let each run build its own
@@ -386,10 +442,18 @@ class CampaignEngine {
   /// Alg. 3 over the grid (VPP x temperature).
   [[nodiscard]] common::Expected<std::vector<RetentionGrid>> run_retention();
 
-  /// The retry/quarantine RowHammer campaign (core/resilient_study's
-  /// engine): per-module attempt budgets, re-salted fault draws, quarantine
-  /// records with replayable trace dumps. Serial by design -- the failure
-  /// evidence of attempt N must not interleave with attempt N+1.
+  /// The fault-tolerant RowHammer campaign: the harness retry/backoff policy
+  /// (harness/recovery) around each module's sweep, with `faults` injected
+  /// by a deterministic FaultInjector standing in for the misbehaving
+  /// silicon the paper's rig saw at reduced VPP. Each module gets a bounded
+  /// attempt budget; transient typed failures re-run the module with
+  /// re-salted fault draws, persistent ones (or an exhausted budget)
+  /// quarantine it with its failure evidence. `trace_capacity` sizes every
+  /// session's trace ring (the failing session's ring becomes the
+  /// quarantine dump). Uses the plan's sweep, modules and seed; serial by
+  /// design -- the failure evidence of attempt N must not interleave with
+  /// attempt N+1. Always returns a result: per-module failures are recorded
+  /// as quarantines, never propagated as campaign failure.
   [[nodiscard]] CampaignResult run_resilient(
       const softmc::FaultPlan& faults, const harness::RetryPolicy& retry,
       std::size_t trace_capacity);

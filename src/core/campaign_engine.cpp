@@ -18,6 +18,7 @@
 #include "harness/rowhammer_test.hpp"
 #include "harness/wcdp.hpp"
 #include "softmc/session.hpp"
+#include "stats/descriptive.hpp"
 
 namespace vppstudy::core {
 
@@ -784,9 +785,9 @@ namespace {
 /// run serially in sessions that carry the attempt's fault injector and a
 /// trace ring. On failure, `failure_dump` holds the failing session's ring
 /// with the error recorded -- captured before the session is torn down.
-/// Moved verbatim from core/resilient_study: the whole-cell job_stream_seed
-/// keying and the serial session-per-level structure are part of the
-/// resilient campaign's byte-compatibility contract.
+/// The whole-cell job_stream_seed keying and the serial session-per-level
+/// structure are part of the resilient campaign's byte-compatibility
+/// contract (quarantine dumps replay command for command).
 common::Expected<ModuleSweepResult> attempt_module_sweep(
     const dram::ModuleProfile& profile, const SweepConfig& sweep,
     std::uint64_t seed, std::size_t trace_capacity,
@@ -895,6 +896,26 @@ common::Expected<ModuleSweepResult> attempt_module_sweep(
 }
 
 }  // namespace
+
+std::size_t CampaignResult::completed_count() const noexcept {
+  std::size_t n = 0;
+  for (const ModuleCampaignResult& m : modules) {
+    if (m.completed) ++n;
+  }
+  return n;
+}
+
+double CampaignResult::hc_first_cv() const {
+  std::vector<double> values;
+  values.reserve(modules.size());
+  for (const ModuleCampaignResult& m : modules) {
+    if (!m.completed) continue;  // quarantined: partial data, excluded
+    const std::uint64_t hc = m.sweep.min_hc_first_at(0);
+    if (hc > 0) values.push_back(static_cast<double>(hc));
+  }
+  if (values.size() < 2) return 0.0;
+  return stats::coefficient_of_variation(values);
+}
 
 CampaignResult CampaignEngine::run_resilient(const softmc::FaultPlan& faults,
                                              const harness::RetryPolicy& retry,

@@ -26,7 +26,6 @@
 #include "common/json.hpp"
 #include "common/socket.hpp"
 #include "core/campaign.hpp"
-#include "core/resilient_study.hpp"
 #include "core/study.hpp"
 
 namespace vppstudy::server {

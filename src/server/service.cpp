@@ -9,7 +9,6 @@
 
 #include "chips/module_db.hpp"
 #include "core/export.hpp"
-#include "core/parallel_study.hpp"
 #include "softmc/fault_injector.hpp"
 #include "softmc/trace_dump.hpp"
 #include "softmc/trace_replayer.hpp"
@@ -296,37 +295,44 @@ common::Result<Service::Outcome> Service::sweep(const SweepRequest& request,
   }
 }
 
-common::Result<Service::Outcome> Service::inject(const InjectRequest& request,
-                                                 const CancelToken& cancel) {
-  if (cancel.cancelled()) {
-    return Error{ErrorCode::kCancelled, "inject cancelled before start"};
-  }
-  auto plan = softmc::FaultPlan::parse(request.faults);
-  if (!plan) return std::move(plan).error();
-
-  // Mirrors vppctl inject's config construction field for field, so a
-  // remote campaign is the same campaign the CLI would run locally.
-  core::ResilientConfig config;
-  config.faults = std::move(*plan);
-  config.seed = request.seed;
-  config.retry.max_attempts = request.retries;
-  config.trace_capacity = static_cast<std::size_t>(request.trace_cap);
-  config.sweep = core::SweepConfig::quick();
-  config.sweep.sampling.chunks = 2;
-  config.sweep.sampling.rows_per_chunk = std::max(1u, request.rows / 2);
+common::Result<InjectCampaign> inject_campaign(const InjectRequest& request) {
+  auto faults = softmc::FaultPlan::parse(request.faults);
+  if (!faults) return std::move(faults).error();
+  InjectCampaign campaign;
+  campaign.faults = std::move(*faults);
+  campaign.retry.max_attempts = request.retries;
+  campaign.trace_capacity = static_cast<std::size_t>(request.trace_cap);
+  campaign.plan.seed = request.seed;
+  campaign.plan.sweep = core::SweepConfig::quick();
+  campaign.plan.sweep.sampling.chunks = 2;
+  campaign.plan.sweep.sampling.rows_per_chunk = std::max(1u, request.rows / 2);
   for (const std::string& name : request.modules) {
     auto profile = chips::profile_by_name(name);
     if (!profile) {
       return Error{ErrorCode::kInvalidArgument,
                    "unknown module '" + name + "'"};
     }
+    // Small banks keep the campaign fast; physics keys off the profile seed.
     profile->rows_per_bank = 4096;
-    config.modules.push_back(std::move(*profile));
+    campaign.plan.modules.push_back(std::move(*profile));
   }
+  return campaign;
+}
 
-  const core::CampaignResult campaign = core::run_resilient_rowhammer(config);
+core::CampaignResult InjectCampaign::run() const {
+  return core::CampaignEngine(plan).run_resilient(faults, retry,
+                                                  trace_capacity);
+}
+
+common::Result<Service::Outcome> Service::inject(const InjectRequest& request,
+                                                 const CancelToken& cancel) {
+  if (cancel.cancelled()) {
+    return Error{ErrorCode::kCancelled, "inject cancelled before start"};
+  }
+  VPP_ASSIGN_OR_RETURN(const InjectCampaign campaign,
+                       inject_campaign(request));
   Outcome out;
-  out.result_json = campaign_result_to_json(campaign);
+  out.result_json = campaign_result_to_json(campaign.run());
   return out;
 }
 

@@ -46,6 +46,24 @@
 
 namespace vppstudy::server {
 
+/// The fault-injected RowHammer campaign an InjectRequest describes: a plan
+/// over the named modules (4096-row banks; physics keys off the profile
+/// seed) with the quick sweep at `rows` sampled rows, plus the fault, retry
+/// and trace-ring arguments of CampaignEngine::run_resilient. `vppctl inject`
+/// and the daemon's inject verb both run exactly this campaign.
+struct InjectCampaign {
+  core::CampaignPlan plan;
+  softmc::FaultPlan faults;
+  harness::RetryPolicy retry;
+  std::size_t trace_capacity = 0;
+
+  [[nodiscard]] core::CampaignResult run() const;
+};
+
+/// kInvalidArgument on an unparseable fault spec or an unknown module.
+[[nodiscard]] common::Result<InjectCampaign> inject_campaign(
+    const InjectRequest& request);
+
 class Service {
  public:
   struct Config {
@@ -53,7 +71,7 @@ class Service {
     /// use all hardware threads. The pool is long-lived: arenas keep one
     /// rig Session per (worker, module) warm across requests.
     int jobs = 0;
-    /// Sampled rows per shard job (StudyConfig::rows_per_shard); a pure
+    /// Sampled rows per shard job (CampaignPlan::rows_per_shard); a pure
     /// performance knob by the determinism contract.
     std::uint32_t rows_per_shard = 4;
     /// Directory for campaign manifests (vppd --manifest-dir); empty

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "chips/module_db.hpp"
-#include "core/study.hpp"
+#include "core/campaign.hpp"
 
 namespace vppstudy::core {
 namespace {
@@ -23,9 +23,11 @@ const std::vector<ModuleSweepResult>& all_sweeps() {
     cfg.hammer.num_iterations = 1;
     for (const auto& profile : chips::all_profiles()) {
       cfg.vpp_levels = {2.5, profile.vppmin_v};
-      Study study(profile);
-      auto sweep = study.rowhammer_sweep(cfg);
-      if (sweep) sweeps.push_back(std::move(*sweep));
+      CampaignPlan plan;
+      plan.sweep = cfg;
+      plan.modules = {profile};
+      auto grids = CampaignEngine(std::move(plan)).run_hammer();
+      if (grids) sweeps.push_back(grids->front().to_sweep());
     }
     return sweeps;
   }();

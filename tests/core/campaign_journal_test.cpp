@@ -26,17 +26,16 @@ namespace {
 using common::ErrorCode;
 
 CampaignPlan small_plan(const std::string& manifest_path) {
-  StudyConfig config;
-  config.sweep.vpp_levels = {2.5, 2.1, 1.7};
-  config.sweep.sampling.chunks = 2;
-  config.sweep.sampling.rows_per_chunk = 2;
-  config.sweep.hammer.num_iterations = 1;
-  config.modules = {chips::profile_by_name("B3").value(),
-                    chips::profile_by_name("A0").value()};
-  config.seed = 7;
-  config.jobs = 1;
-  config.rows_per_shard = 2;
-  CampaignPlan plan = CampaignPlan::from_study(std::move(config));
+  CampaignPlan plan;
+  plan.sweep.vpp_levels = {2.5, 2.1, 1.7};
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = 2;
+  plan.sweep.hammer.num_iterations = 1;
+  plan.modules = {chips::profile_by_name("B3").value(),
+                  chips::profile_by_name("A0").value()};
+  plan.seed = 7;
+  plan.jobs = 1;
+  plan.rows_per_shard = 2;
   plan.manifest_path = manifest_path;
   return plan;
 }

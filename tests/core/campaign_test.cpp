@@ -1,5 +1,5 @@
-// CampaignEngine contract tests: grid results are bit-identical to the
-// serial reference study (the tentpole's byte-compatibility promise), axis
+// CampaignEngine contract tests: a multi-module sharded campaign is
+// bit-identical to serial one-module runs of the same sweep, axis
 // points seed and normalize per the core/axis.hpp contract, and a campaign
 // killed mid-shard resumes from its manifest to a byte-identical merged
 // result.
@@ -18,8 +18,6 @@
 #include "chips/module_db.hpp"
 #include "core/campaign.hpp"
 #include "core/export.hpp"
-#include "core/parallel_study.hpp"
-#include "core/study.hpp"
 
 namespace vppstudy::core {
 namespace {
@@ -35,15 +33,25 @@ SweepConfig small_sweep() {
   return cfg;
 }
 
-StudyConfig small_study(std::uint64_t seed = 7, int jobs = 3) {
-  StudyConfig config;
-  config.sweep = small_sweep();
-  config.modules = {chips::profile_by_name("B3").value(),
-                    chips::profile_by_name("A0").value()};
-  config.seed = seed;
-  config.jobs = jobs;
-  config.rows_per_shard = 2;
-  return config;
+CampaignPlan small_plan(std::uint64_t seed = 7, int jobs = 3) {
+  CampaignPlan plan;
+  plan.sweep = small_sweep();
+  plan.modules = {chips::profile_by_name("B3").value(),
+                  chips::profile_by_name("A0").value()};
+  plan.seed = seed;
+  plan.jobs = jobs;
+  plan.rows_per_shard = 2;
+  return plan;
+}
+
+/// The serial reference for module `m` of `plan`: a one-module plan at
+/// jobs = 1 and the default shard granularity.
+CampaignEngine serial_reference(const CampaignPlan& plan, std::size_t m) {
+  CampaignPlan one;
+  one.sweep = plan.sweep;
+  one.modules = {plan.modules[m]};
+  one.seed = plan.seed;
+  return CampaignEngine(std::move(one));
 }
 
 std::string temp_manifest_path(const char* tag) {
@@ -51,55 +59,55 @@ std::string temp_manifest_path(const char* tag) {
          std::to_string(::getpid()) + ".json";
 }
 
-// --- Equivalence vs the serial reference study -------------------------------
+// --- Equivalence vs serial one-module runs -----------------------------------
 
 TEST(CampaignEngineEquivalence, HammerGridMatchesSerialStudy) {
-  // The serial Study facade is the original reference implementation; it
-  // runs at campaign seed 0, so compare a seed-0 engine campaign against it.
-  const StudyConfig config = small_study(/*seed=*/0);
-  CampaignEngine engine(CampaignPlan::from_study(config));
-  auto grids = engine.run_hammer();
+  // A multi-module campaign on 3 workers with 2-row shards must reproduce,
+  // module for module, a serial one-module run at the default granularity.
+  const CampaignPlan plan = small_plan(/*seed=*/0);
+  auto grids = CampaignEngine(plan).run_hammer();
   ASSERT_TRUE(grids.has_value()) << grids.error().to_string();
-  ASSERT_EQ(grids->size(), config.modules.size());
+  ASSERT_EQ(grids->size(), plan.modules.size());
 
-  for (std::size_t m = 0; m < config.modules.size(); ++m) {
-    Study study(config.modules[m]);
-    auto reference = study.rowhammer_sweep(config.sweep);
-    ASSERT_TRUE(reference.has_value());
+  for (std::size_t m = 0; m < plan.modules.size(); ++m) {
+    auto reference_grids = serial_reference(plan, m).run_hammer();
+    ASSERT_TRUE(reference_grids.has_value());
+    const ModuleSweepResult reference = reference_grids->front().to_sweep();
     const ModuleSweepResult sweep = (*grids)[m].to_sweep();
-    EXPECT_EQ(sweep.vpp_levels, reference->vpp_levels);
-    ASSERT_EQ(sweep.rows.size(), reference->rows.size());
+    EXPECT_EQ(sweep.vpp_levels, reference.vpp_levels);
+    ASSERT_EQ(sweep.rows.size(), reference.rows.size());
     for (std::size_t r = 0; r < sweep.rows.size(); ++r) {
-      EXPECT_EQ(sweep.rows[r].row, reference->rows[r].row);
-      EXPECT_EQ(sweep.rows[r].hc_first, reference->rows[r].hc_first);
-      EXPECT_EQ(sweep.rows[r].ber, reference->rows[r].ber);  // bitwise
+      EXPECT_EQ(sweep.rows[r].row, reference.rows[r].row);
+      EXPECT_EQ(sweep.rows[r].hc_first, reference.rows[r].hc_first);
+      EXPECT_EQ(sweep.rows[r].ber, reference.rows[r].ber);  // bitwise
     }
+    EXPECT_EQ(to_csv(sweep).str(), to_csv(reference).str());
   }
 }
 
 TEST(CampaignEngineEquivalence, TrcdAndRetentionGridsMatchSerialStudy) {
-  const StudyConfig config = small_study(/*seed=*/0);
-  CampaignEngine trcd_engine(CampaignPlan::from_study(config));
-  auto trcd_grids = trcd_engine.run_trcd();
+  const CampaignPlan plan = small_plan(/*seed=*/0);
+  auto trcd_grids = CampaignEngine(plan).run_trcd();
   ASSERT_TRUE(trcd_grids.has_value()) << trcd_grids.error().to_string();
-  CampaignEngine ret_engine(CampaignPlan::from_study(config));
-  auto ret_grids = ret_engine.run_retention();
+  auto ret_grids = CampaignEngine(plan).run_retention();
   ASSERT_TRUE(ret_grids.has_value()) << ret_grids.error().to_string();
 
-  for (std::size_t m = 0; m < config.modules.size(); ++m) {
-    Study study(config.modules[m]);
-    auto trcd_ref = study.trcd_sweep(config.sweep);
+  for (std::size_t m = 0; m < plan.modules.size(); ++m) {
+    CampaignEngine reference = serial_reference(plan, m);
+    auto trcd_ref = reference.run_trcd();
     ASSERT_TRUE(trcd_ref.has_value());
     const TrcdSweepResult trcd = (*trcd_grids)[m].to_sweep();
-    EXPECT_EQ(trcd.vpp_levels, trcd_ref->vpp_levels);
-    EXPECT_EQ(trcd.trcd_min_ns, trcd_ref->trcd_min_ns);
+    const TrcdSweepResult trcd_expected = trcd_ref->front().to_sweep();
+    EXPECT_EQ(trcd.vpp_levels, trcd_expected.vpp_levels);
+    EXPECT_EQ(trcd.trcd_min_ns, trcd_expected.trcd_min_ns);
 
-    auto ret_ref = study.retention_sweep(config.sweep);
+    auto ret_ref = reference.run_retention();
     ASSERT_TRUE(ret_ref.has_value());
     const RetentionSweepResult ret = (*ret_grids)[m].to_sweep();
-    EXPECT_EQ(ret.vpp_levels, ret_ref->vpp_levels);
-    EXPECT_EQ(ret.trefw_ms, ret_ref->trefw_ms);
-    EXPECT_EQ(ret.mean_ber, ret_ref->mean_ber);
+    const RetentionSweepResult ret_expected = ret_ref->front().to_sweep();
+    EXPECT_EQ(ret.vpp_levels, ret_expected.vpp_levels);
+    EXPECT_EQ(ret.trefw_ms, ret_expected.trefw_ms);
+    EXPECT_EQ(ret.mean_ber, ret_expected.mean_ber);
   }
 }
 
@@ -107,8 +115,8 @@ TEST(CampaignEngineEquivalence, TrcdAndRetentionGridsMatchSerialStudy) {
 // not having a temperature axis at all (the normalization contract that
 // keeps legacy outputs and cache keys stable).
 TEST(CampaignEngineEquivalence, DefaultAxisSpellingIsBaseline) {
-  CampaignPlan bare = CampaignPlan::from_study(small_study());
-  CampaignPlan spelled = CampaignPlan::from_study(small_study());
+  CampaignPlan bare = small_plan();
+  CampaignPlan spelled = small_plan();
   spelled.axes.temperatures_c = {50.0};  // the hammer-phase default
 
   CampaignEngine bare_engine(std::move(bare));
@@ -185,7 +193,7 @@ TEST(CampaignManifest, CheckpointRoundTripsAndBindsToPlan) {
   const std::string path = temp_manifest_path("roundtrip");
   std::remove(path.c_str());
 
-  CampaignPlan plan = CampaignPlan::from_study(small_study());
+  CampaignPlan plan = small_plan();
   plan.manifest_path = path;
   const std::uint64_t hash = plan.digest(JobPhase::kRowHammer);
   CampaignEngine engine(std::move(plan));
@@ -209,12 +217,12 @@ TEST(CampaignManifest, ResumeWithDifferentPlanIsRejected) {
   const std::string path = temp_manifest_path("mismatch");
   std::remove(path.c_str());
 
-  CampaignPlan plan = CampaignPlan::from_study(small_study(/*seed=*/7));
+  CampaignPlan plan = small_plan(/*seed=*/7);
   plan.manifest_path = path;
   CampaignEngine engine(std::move(plan));
   ASSERT_TRUE(engine.run_hammer().has_value());
 
-  CampaignPlan other = CampaignPlan::from_study(small_study(/*seed=*/8));
+  CampaignPlan other = small_plan(/*seed=*/8);
   other.manifest_path = path;
   CampaignEngine mismatched(std::move(other));
   auto grids = mismatched.run_hammer();
@@ -236,7 +244,7 @@ std::vector<std::string> grid_documents(const std::vector<HammerGrid>& grids) {
 
 TEST(CampaignResume, BudgetInterruptedCampaignResumesByteIdentical) {
   // Reference: one uninterrupted serial run.
-  CampaignEngine reference(CampaignPlan::from_study(small_study(7, 1)));
+  CampaignEngine reference(small_plan(7, 1));
   auto expected = reference.run_hammer();
   ASSERT_TRUE(expected.has_value());
 
@@ -247,7 +255,7 @@ TEST(CampaignResume, BudgetInterruptedCampaignResumesByteIdentical) {
   std::vector<HammerGrid> merged;
   int attempts = 0;
   for (; attempts < 64; ++attempts) {
-    CampaignPlan plan = CampaignPlan::from_study(small_study(7, 3));
+    CampaignPlan plan = small_plan(7, 3);
     plan.manifest_path = path;
     plan.max_new_shards = 2;
     CampaignEngine engine(std::move(plan));
@@ -266,7 +274,7 @@ TEST(CampaignResume, BudgetInterruptedCampaignResumesByteIdentical) {
 }
 
 TEST(CampaignResume, SigkillMidShardResumesByteIdentical) {
-  CampaignEngine reference(CampaignPlan::from_study(small_study(7, 1)));
+  CampaignEngine reference(small_plan(7, 1));
   auto expected = reference.run_hammer();
   ASSERT_TRUE(expected.has_value());
 
@@ -280,7 +288,7 @@ TEST(CampaignResume, SigkillMidShardResumesByteIdentical) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     ::setenv("VPP_CAMPAIGN_KILL_AFTER", "2", 1);
-    CampaignPlan plan = CampaignPlan::from_study(small_study(7, 1));
+    CampaignPlan plan = small_plan(7, 1);
     plan.manifest_path = path;
     CampaignEngine engine(std::move(plan));
     (void)engine.run_hammer();
@@ -297,7 +305,7 @@ TEST(CampaignResume, SigkillMidShardResumesByteIdentical) {
   EXPECT_LT(manifest->shards.size(), manifest->planned_shards);
 
   // Resume in this process (no kill switch), different worker count.
-  CampaignPlan plan = CampaignPlan::from_study(small_study(7, 3));
+  CampaignPlan plan = small_plan(7, 3);
   plan.manifest_path = path;
   CampaignEngine engine(std::move(plan));
   auto resumed = engine.run_hammer();

@@ -37,15 +37,12 @@ FuzzCampaignConfig small_config(int jobs = 1) {
   sweep.sampling.rows_per_chunk = 1;
   sweep.hammer.num_iterations = 1;
 
-  StudyConfig study;
-  study.sweep = sweep;
-  study.modules = {chips::profile_by_name("B3").value()};
-  study.seed = 11;
-  study.jobs = jobs;
-  study.rows_per_shard = 2;
-
   FuzzCampaignConfig config;
-  config.base = CampaignPlan::from_study(study);
+  config.base.sweep = sweep;
+  config.base.modules = {chips::profile_by_name("B3").value()};
+  config.base.seed = 11;
+  config.base.jobs = jobs;
+  config.base.rows_per_shard = 2;
   config.generations = 2;
   config.fuzzer.population = 4;
   config.fuzzer.elites = 1;

@@ -8,8 +8,7 @@
 
 #include "chips/module_db.hpp"
 #include "common/error.hpp"
-#include "core/parallel_study.hpp"
-#include "core/study.hpp"
+#include "core/campaign.hpp"
 
 namespace vppstudy::core {
 namespace {
@@ -20,16 +19,16 @@ dram::ModuleProfile small_profile(const char* name = "B3") {
   return p;
 }
 
-StudyConfig small_config(int jobs) {
-  StudyConfig config;
-  config.sweep = SweepConfig::quick();
-  config.sweep.vpp_levels = {2.5, 2.0, 1.6};
-  config.sweep.sampling.chunks = 2;
-  config.sweep.sampling.rows_per_chunk = 2;
-  config.modules = {small_profile()};
-  config.seed = 0;
-  config.jobs = jobs;
-  return config;
+CampaignPlan small_plan(int jobs) {
+  CampaignPlan plan;
+  plan.sweep = SweepConfig::quick();
+  plan.sweep.vpp_levels = {2.5, 2.0, 1.6};
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = 2;
+  plan.modules = {small_profile()};
+  plan.seed = 0;
+  plan.jobs = jobs;
+  return plan;
 }
 
 TEST(SweepInstrumentation, AggregatesJobCountsAsAFold) {
@@ -56,11 +55,10 @@ TEST(SweepInstrumentation, AggregatesJobCountsAsAFold) {
 }
 
 TEST(SweepInstrumentation, RowHammerSweepCountsOneJobPerLevelPlusPrep) {
-  ParallelStudy engine(small_config(1));
-  auto sweeps = engine.rowhammer_sweeps();
-  ASSERT_TRUE(sweeps.has_value()) << sweeps.error().to_string();
-  ASSERT_EQ(sweeps->size(), 1u);
-  const ModuleSweepResult& sweep = sweeps->front();
+  auto grids = CampaignEngine(small_plan(1)).run_hammer();
+  ASSERT_TRUE(grids.has_value()) << grids.error().to_string();
+  ASSERT_EQ(grids->size(), 1u);
+  const ModuleSweepResult sweep = grids->front().to_sweep();
 
   // B3's VPPmin is 1.6V, so all three levels run: one WCDP-prep session
   // plus one session per level.
@@ -76,22 +74,20 @@ TEST(SweepInstrumentation, RowHammerSweepCountsOneJobPerLevelPlusPrep) {
 }
 
 TEST(SweepInstrumentation, TrcdSweepCountsOneJobPerLevel) {
-  ParallelStudy engine(small_config(1));
-  auto sweeps = engine.trcd_sweeps();
-  ASSERT_TRUE(sweeps.has_value()) << sweeps.error().to_string();
-  const TrcdSweepResult& sweep = sweeps->front();
+  auto grids = CampaignEngine(small_plan(1)).run_trcd();
+  ASSERT_TRUE(grids.has_value()) << grids.error().to_string();
+  const TrcdSweepResult sweep = grids->front().to_sweep();
   ASSERT_EQ(sweep.vpp_levels.size(), 3u);
   EXPECT_EQ(sweep.instrumentation.jobs, 3u);
+  EXPECT_GT(sweep.instrumentation.counts.total_commands(), 0u);
   // Alg. 2 probes single columns at reduced tRCD: deliberate violations are
   // the methodology, and the counters see them.
   EXPECT_GT(sweep.instrumentation.counts.timing_violations, 0u);
 }
 
 TEST(SweepInstrumentation, IsIdenticalAcrossJobCounts) {
-  ParallelStudy serial(small_config(1));
-  ParallelStudy parallel(small_config(8));
-  auto s = serial.rowhammer_sweeps();
-  auto p = parallel.rowhammer_sweeps();
+  auto s = CampaignEngine(small_plan(1)).run_hammer();
+  auto p = CampaignEngine(small_plan(8)).run_hammer();
   ASSERT_TRUE(s.has_value()) << s.error().to_string();
   ASSERT_TRUE(p.has_value()) << p.error().to_string();
   ASSERT_EQ(s->size(), p->size());
@@ -102,29 +98,13 @@ TEST(SweepInstrumentation, IsIdenticalAcrossJobCounts) {
   }
 }
 
-TEST(SweepInstrumentation, StudyFacadeCarriesInstrumentationToo) {
-  Study study(small_profile());
-  auto config = small_config(1);
-  auto sweep = study.trcd_sweep(config.sweep);
-  ASSERT_TRUE(sweep.has_value()) << sweep.error().to_string();
-  EXPECT_EQ(sweep->instrumentation.jobs, 3u);
-  EXPECT_GT(sweep->instrumentation.counts.total_commands(), 0u);
-}
-
 TEST(TypedErrors, NoUsableLevelsCrossesTheLayerBoundaryIntact) {
-  auto config = small_config(1);
-  config.sweep.vpp_levels = {1.0};  // below B3's VPPmin: nothing to run
-  ParallelStudy engine(config);
-  auto sweeps = engine.rowhammer_sweeps();
-  ASSERT_FALSE(sweeps.has_value());
-  EXPECT_EQ(sweeps.error().code, common::ErrorCode::kNoUsableLevels);
-  EXPECT_EQ(sweeps.error().context.module, "B3");
-
-  // The serial facade forwards the same typed error.
-  Study study(small_profile());
-  auto single = study.rowhammer_sweep(config.sweep);
-  ASSERT_FALSE(single.has_value());
-  EXPECT_EQ(single.error().code, common::ErrorCode::kNoUsableLevels);
+  auto plan = small_plan(1);
+  plan.sweep.vpp_levels = {1.0};  // below B3's VPPmin: nothing to run
+  auto grids = CampaignEngine(plan).run_hammer();
+  ASSERT_FALSE(grids.has_value());
+  EXPECT_EQ(grids.error().code, common::ErrorCode::kNoUsableLevels);
+  EXPECT_EQ(grids.error().context.module, "B3");
 }
 
 }  // namespace

@@ -1,3 +1,7 @@
+// Sharded sweep tests: stream-seed keying of the shard building blocks
+// (core/parallel_study.hpp), and the CampaignEngine guarantees built on it --
+// byte-identical output at any job count and any shard granularity, and a
+// campaign seed that moves noise but not physics.
 #include "core/parallel_study.hpp"
 
 #include <gtest/gtest.h>
@@ -6,8 +10,8 @@
 #include <vector>
 
 #include "chips/module_db.hpp"
+#include "core/campaign.hpp"
 #include "core/export.hpp"
-#include "core/study.hpp"
 
 namespace vppstudy::core {
 namespace {
@@ -22,22 +26,23 @@ std::vector<dram::ModuleProfile> small_modules() {
   return modules;
 }
 
-StudyConfig small_config(int jobs) {
-  StudyConfig config;
-  config.sweep = SweepConfig::quick();
-  config.sweep.vpp_levels = {2.5, 2.0, 1.6};
-  config.sweep.sampling.chunks = 2;
-  config.sweep.sampling.rows_per_chunk = 4;
-  config.modules = small_modules();
-  config.seed = 0;
-  config.jobs = jobs;
-  return config;
+CampaignPlan small_plan(int jobs) {
+  CampaignPlan plan;
+  plan.sweep = SweepConfig::quick();
+  plan.sweep.vpp_levels = {2.5, 2.0, 1.6};
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = 4;
+  plan.modules = small_modules();
+  plan.seed = 0;
+  plan.jobs = jobs;
+  return plan;
 }
 
-template <typename Sweeps>
-std::string concat_csv(const Sweeps& sweeps) {
+/// The per-module legacy CSV exports of a grid vector, concatenated.
+template <typename Grids>
+std::string concat_csv(const Grids& grids) {
   std::string all;
-  for (const auto& sweep : sweeps) all += to_csv(sweep).str();
+  for (const auto& grid : grids) all += to_csv(grid.to_sweep()).str();
   return all;
 }
 
@@ -58,10 +63,8 @@ TEST(ParallelStudy, VppMillivoltsIsStableUnderLevelArithmetic) {
 }
 
 TEST(ParallelStudy, RowHammerCsvIsByteIdenticalAcrossJobCounts) {
-  ParallelStudy serial(small_config(1));
-  ParallelStudy parallel(small_config(8));
-  auto s = serial.rowhammer_sweeps();
-  auto p = parallel.rowhammer_sweeps();
+  auto s = CampaignEngine(small_plan(1)).run_hammer();
+  auto p = CampaignEngine(small_plan(8)).run_hammer();
   ASSERT_TRUE(s.has_value()) << s.error().message;
   ASSERT_TRUE(p.has_value()) << p.error().message;
   ASSERT_EQ(s->size(), 3u);
@@ -69,23 +72,19 @@ TEST(ParallelStudy, RowHammerCsvIsByteIdenticalAcrossJobCounts) {
 }
 
 TEST(ParallelStudy, TrcdCsvIsByteIdenticalAcrossJobCounts) {
-  ParallelStudy serial(small_config(1));
-  ParallelStudy parallel(small_config(8));
-  auto s = serial.trcd_sweeps();
-  auto p = parallel.trcd_sweeps();
+  auto s = CampaignEngine(small_plan(1)).run_trcd();
+  auto p = CampaignEngine(small_plan(8)).run_trcd();
   ASSERT_TRUE(s.has_value()) << s.error().message;
   ASSERT_TRUE(p.has_value()) << p.error().message;
   EXPECT_EQ(concat_csv(*s), concat_csv(*p));
 }
 
 TEST(ParallelStudy, RetentionCsvIsByteIdenticalAcrossJobCounts) {
-  auto config = small_config(1);
-  config.sweep.vpp_levels = {2.5, 2.0};
-  ParallelStudy serial(config);
-  config.jobs = 8;
-  ParallelStudy parallel(config);
-  auto s = serial.retention_sweeps();
-  auto p = parallel.retention_sweeps();
+  auto plan = small_plan(1);
+  plan.sweep.vpp_levels = {2.5, 2.0};
+  auto s = CampaignEngine(plan).run_retention();
+  plan.jobs = 8;
+  auto p = CampaignEngine(plan).run_retention();
   ASSERT_TRUE(s.has_value()) << s.error().message;
   ASSERT_TRUE(p.has_value()) << p.error().message;
   EXPECT_EQ(concat_csv(*s), concat_csv(*p));
@@ -103,19 +102,19 @@ TEST(ParallelStudy, ShardGranularityIsAPurePerformanceKnob) {
   // rows_per_shard only changes how work is cut into jobs; per-row noise
   // streams make every granularity -- including 0, one shard per cell --
   // produce byte-identical CSV exports.
-  auto config = small_config(4);
-  config.sweep.vpp_levels = {2.5, 1.6};
+  auto plan = small_plan(4);
+  plan.sweep.vpp_levels = {2.5, 1.6};
   std::vector<std::string> hammer_csv, trcd_csv, retention_csv;
   for (const std::uint32_t rows_per_shard : {0u, 1u, 3u, 64u}) {
-    config.rows_per_shard = rows_per_shard;
-    ParallelStudy engine(config);
-    auto h = engine.rowhammer_sweeps();
+    plan.rows_per_shard = rows_per_shard;
+    CampaignEngine engine(plan);
+    auto h = engine.run_hammer();
     ASSERT_TRUE(h.has_value()) << h.error().message;
     hammer_csv.push_back(concat_csv(*h));
-    auto t = engine.trcd_sweeps();
+    auto t = engine.run_trcd();
     ASSERT_TRUE(t.has_value()) << t.error().message;
     trcd_csv.push_back(concat_csv(*t));
-    auto r = engine.retention_sweeps();
+    auto r = engine.run_retention();
     ASSERT_TRUE(r.has_value()) << r.error().message;
     retention_csv.push_back(concat_csv(*r));
   }
@@ -126,39 +125,18 @@ TEST(ParallelStudy, ShardGranularityIsAPurePerformanceKnob) {
   }
 }
 
-TEST(ParallelStudy, MatchesSerialStudyFacade) {
-  // The Study facade delegates to a jobs=1 engine; a multi-module parallel
-  // campaign must reproduce it module for module.
-  auto config = small_config(4);
-  ParallelStudy engine(config);
-  auto sweeps = engine.rowhammer_sweeps();
-  ASSERT_TRUE(sweeps.has_value()) << sweeps.error().message;
-  for (std::size_t m = 0; m < config.modules.size(); ++m) {
-    Study study(config.modules[m]);
-    auto single = study.rowhammer_sweep(config.sweep);
-    ASSERT_TRUE(single.has_value()) << single.error().message;
-    EXPECT_EQ(to_csv(*single).str(), to_csv((*sweeps)[m]).str())
-        << config.modules[m].name;
-  }
-}
-
 TEST(ParallelStudy, CampaignSeedChangesNoiseNotPhysics) {
-  auto config = small_config(2);
-  config.sweep.vpp_levels = {2.5};
-  ParallelStudy engine_a(config);
-  config.seed = 99;
-  ParallelStudy engine_b(config);
-  auto a = engine_a.rowhammer_sweeps();
-  auto b = engine_b.rowhammer_sweeps();
+  auto plan = small_plan(2);
+  plan.sweep.vpp_levels = {2.5};
+  auto a = CampaignEngine(plan).run_hammer();
+  plan.seed = 99;
+  auto b = CampaignEngine(plan).run_hammer();
   ASSERT_TRUE(a.has_value()) << a.error().message;
   ASSERT_TRUE(b.has_value()) << b.error().message;
   // Same modules, same rows sampled (physics keyed by profile seed)...
   ASSERT_EQ(a->size(), b->size());
   for (std::size_t m = 0; m < a->size(); ++m) {
-    ASSERT_EQ((*a)[m].rows.size(), (*b)[m].rows.size());
-    for (std::size_t r = 0; r < (*a)[m].rows.size(); ++r) {
-      EXPECT_EQ((*a)[m].rows[r].row, (*b)[m].rows[r].row);
-    }
+    EXPECT_EQ((*a)[m].rows, (*b)[m].rows);
   }
 }
 

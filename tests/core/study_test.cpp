@@ -1,8 +1,15 @@
+// Sweep-level behaviour of the paper's three algorithms on one module at a
+// time: VPPmin clipping, full series, Table 3 anchors, normalization, the
+// aggregate observations, and the tRCD / retention directions. Each sweep is
+// a one-module CampaignPlan run inline at seed 0.
 #include "core/study.hpp"
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "chips/module_db.hpp"
+#include "core/campaign.hpp"
 
 namespace vppstudy::core {
 namespace {
@@ -11,6 +18,32 @@ dram::ModuleProfile small_profile(const char* name) {
   auto p = chips::profile_by_name(name).value();
   p.rows_per_bank = 4096;
   return p;
+}
+
+CampaignEngine one_module(const char* name, const SweepConfig& sweep) {
+  CampaignPlan plan;
+  plan.sweep = sweep;
+  plan.modules = {small_profile(name)};
+  return CampaignEngine(std::move(plan));
+}
+
+common::Expected<ModuleSweepResult> rowhammer_sweep(const char* name,
+                                                    const SweepConfig& sweep) {
+  VPP_ASSIGN_OR_RETURN(const auto grids, one_module(name, sweep).run_hammer());
+  return grids.front().to_sweep();
+}
+
+common::Expected<TrcdSweepResult> trcd_sweep(const char* name,
+                                             const SweepConfig& sweep) {
+  VPP_ASSIGN_OR_RETURN(const auto grids, one_module(name, sweep).run_trcd());
+  return grids.front().to_sweep();
+}
+
+common::Expected<RetentionSweepResult> retention_sweep(
+    const char* name, const SweepConfig& sweep) {
+  VPP_ASSIGN_OR_RETURN(const auto grids,
+                       one_module(name, sweep).run_retention());
+  return grids.front().to_sweep();
 }
 
 SweepConfig tiny_config() {
@@ -31,16 +64,14 @@ TEST(SweepConfig, PaperGridIsFull) {
 }
 
 TEST(Study, LevelsClipAtVppmin) {
-  Study study(small_profile("B0"));  // VPPmin = 2.0
-  auto sweep = study.rowhammer_sweep(tiny_config());
+  auto sweep = rowhammer_sweep("B0", tiny_config());  // VPPmin = 2.0
   ASSERT_TRUE(sweep.has_value()) << sweep.error().message;
   ASSERT_EQ(sweep->vpp_levels.size(), 2u);  // 2.5 and 2.0 only
   EXPECT_DOUBLE_EQ(sweep->vpp_levels.back(), 2.0);
 }
 
 TEST(Study, RowhammerSweepProducesFullSeries) {
-  Study study(small_profile("B3"));
-  auto sweep = study.rowhammer_sweep(tiny_config());
+  auto sweep = rowhammer_sweep("B3", tiny_config());
   ASSERT_TRUE(sweep.has_value()) << sweep.error().message;
   EXPECT_FALSE(sweep->rows.empty());
   for (const auto& row : sweep->rows) {
@@ -51,10 +82,10 @@ TEST(Study, RowhammerSweepProducesFullSeries) {
 }
 
 TEST(Study, ModuleMinHcFirstNearTable3Anchor) {
-  Study study(small_profile("B3"));  // anchors: 16.6K @2.5V, 21.1K @1.6V
   auto c = tiny_config();
   c.sampling.rows_per_chunk = 12;
-  auto sweep = study.rowhammer_sweep(c);
+  // B3's anchors: 16.6K @2.5V, 21.1K @1.6V.
+  auto sweep = rowhammer_sweep("B3", c);
   ASSERT_TRUE(sweep.has_value()) << sweep.error().message;
   const double nominal =
       static_cast<double>(sweep->min_hc_first_at(0));
@@ -66,8 +97,7 @@ TEST(Study, ModuleMinHcFirstNearTable3Anchor) {
 }
 
 TEST(Study, NormalizedSeriesStartAtOne) {
-  Study study(small_profile("C0"));
-  auto sweep = study.rowhammer_sweep(tiny_config());
+  auto sweep = rowhammer_sweep("C0", tiny_config());
   ASSERT_TRUE(sweep.has_value());
   for (const double v : sweep->normalized_hc_first_at(0)) {
     EXPECT_DOUBLE_EQ(v, 1.0);
@@ -83,8 +113,7 @@ TEST(Study, AggregateObservationsMatchHeadlineDirections) {
   // suite over more rows).
   std::vector<ModuleSweepResult> sweeps;
   for (const char* name : {"B3", "C0"}) {
-    Study study(small_profile(name));
-    auto sweep = study.rowhammer_sweep(tiny_config());
+    auto sweep = rowhammer_sweep(name, tiny_config());
     ASSERT_TRUE(sweep.has_value()) << name;
     sweeps.push_back(std::move(*sweep));
   }
@@ -101,14 +130,12 @@ TEST(Study, TrcdSweepHealthyVsFailingModules) {
   auto c = tiny_config();
   c.sampling.rows_per_chunk = 4;
   {
-    Study study(small_profile("C0"));
-    auto sweep = study.trcd_sweep(c);
+    auto sweep = trcd_sweep("C0", c);
     ASSERT_TRUE(sweep.has_value()) << sweep.error().message;
     for (const double t : sweep->trcd_min_ns) EXPECT_LE(t, 13.5);
   }
   {
-    Study study(small_profile("A0"));
-    auto sweep = study.trcd_sweep(c);
+    auto sweep = trcd_sweep("A0", c);
     ASSERT_TRUE(sweep.has_value()) << sweep.error().message;
     EXPECT_LE(sweep->trcd_min_ns.front(), 13.5);   // fine at nominal VPP
     EXPECT_GT(sweep->trcd_min_ns.back(), 13.5);    // fails toward VPPmin
@@ -122,8 +149,7 @@ TEST(Study, RetentionSweepMeanBerGrowsWithWindowAndLowVpp) {
   // C2's VPPmin is 1.5V, so the 1.6V level (with a real restoration
   // deficit) stays in the usable grid; above ~2.0V restoration is full and
   // retention is VPP-independent by design.
-  Study study(small_profile("C2"));
-  auto sweep = study.retention_sweep(c);
+  auto sweep = retention_sweep("C2", c);
   ASSERT_TRUE(sweep.has_value()) << sweep.error().message;
   ASSERT_FALSE(sweep->trefw_ms.empty());
   ASSERT_EQ(sweep->mean_ber.size(), sweep->vpp_levels.size());

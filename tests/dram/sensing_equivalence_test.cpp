@@ -8,12 +8,15 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "chips/module_db.hpp"
+#include "common/thread_pool.hpp"
+#include "core/campaign.hpp"
 #include "core/export.hpp"
-#include "core/study.hpp"
 #include "dram/module.hpp"
+#include "softmc/session.hpp"
 
 namespace vppstudy::dram {
 namespace {
@@ -135,15 +138,28 @@ TEST(SensingEquivalence, FlipsAccumulateIdenticallyAcrossRepeatedHammer) {
 
 TEST(SensingEquivalence, StudySweepCsvAndInstrumentationIdentical) {
   // End-to-end: the exported CSV series and the per-sweep instrumentation
-  // sidecar of a RowHammer sweep must not depend on the sensing path.
+  // sidecar of a RowHammer sweep must not depend on the sensing path. A
+  // zero-worker pool runs every shard inline on arena slot 0, so the session
+  // seeded there -- switched to the path under test -- is the one the whole
+  // sweep reuses (reset_for_job leaves Module options as set).
   const auto run = [](bool reference) {
-    core::Study study(small_profile());
-    study.session().module().set_reference_sensing(reference);
-    core::SweepConfig cfg = core::SweepConfig::quick();
-    cfg.vpp_levels = {2.5, 1.8, 1.5};
-    auto sweep = study.rowhammer_sweep(cfg);
-    EXPECT_TRUE(sweep.has_value());
-    return *sweep;
+    common::WorkerLocal<core::SessionArena> arenas(0);
+    common::ThreadPool pool(0);
+    softmc::Session& session = arenas.slot(0).acquire(small_profile());
+    session.module().set_reference_sensing(reference);
+
+    core::CampaignPlan plan;
+    plan.sweep = core::SweepConfig::quick();
+    plan.sweep.vpp_levels = {2.5, 1.8, 1.5};
+    plan.modules = {small_profile()};
+    auto grids = core::CampaignEngine(std::move(plan), nullptr,
+                                      {&arenas, &pool})
+                     .run_hammer();
+    EXPECT_TRUE(grids.has_value());
+    EXPECT_EQ(arenas.slot(0).sessions.size(), 1u);
+    EXPECT_EQ(arenas.slot(0).sessions.begin()->second.get(), &session);
+    EXPECT_EQ(session.module().reference_sensing(), reference);
+    return grids->front().to_sweep();
   };
   const core::ModuleSweepResult fast = run(false);
   const core::ModuleSweepResult reference = run(true);

@@ -106,7 +106,6 @@
 #include "core/campaign_lease.hpp"
 #include "core/export.hpp"
 #include "core/fuzz_campaign.hpp"
-#include "core/resilient_study.hpp"
 #include "core/study.hpp"
 #include "harness/rowhammer_test.hpp"
 #include "harness/wcdp.hpp"
@@ -114,6 +113,7 @@
 #include "server/client.hpp"
 #include "server/coordinator.hpp"
 #include "server/server.hpp"
+#include "server/service.hpp"
 #include "server/worker.hpp"
 #include "softmc/fault_injector.hpp"
 #include "softmc/trace_dump.hpp"
@@ -380,42 +380,31 @@ int cmd_sweep(const std::map<std::string, std::string>& flags) {
   // sweep (VPP levels quantized to the supply's millivolt grid included).
   const core::SweepConfig cfg = server::sweep_config_from_request(request);
 
-  core::Study study(*profile);
-  if (request.test == "rowhammer") {
-    auto sweep = study.rowhammer_sweep(cfg);
-    if (!sweep) {
-      std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
+  core::CampaignPlan plan;
+  plan.sweep = cfg;
+  plan.modules = {*profile};
+  plan.seed = request.seed;
+  core::CampaignEngine engine(std::move(plan));
+  const auto finish = [&](auto grids, auto render) -> int {
+    if (!grids) {
+      std::fprintf(stderr, "%s\n", grids.error().to_string().c_str());
       return 1;
     }
+    const auto sweep = grids->front().to_sweep();
     if (has_flag(flags, "counters")) {
       std::printf("instrumentation: %s\n",
-                  sweep->instrumentation.summary().c_str());
+                  sweep.instrumentation.summary().c_str());
     }
-    return render_hammer_sweep(*sweep, csv_path, /*sidecar=*/true);
+    return render(sweep, csv_path, /*sidecar=*/true);
+  };
+  if (request.test == "rowhammer") {
+    return finish(engine.run_hammer(), render_hammer_sweep);
   }
   if (request.test == "trcd") {
-    auto sweep = study.trcd_sweep(cfg);
-    if (!sweep) {
-      std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
-      return 1;
-    }
-    if (has_flag(flags, "counters")) {
-      std::printf("instrumentation: %s\n",
-                  sweep->instrumentation.summary().c_str());
-    }
-    return render_trcd_sweep(*sweep, csv_path, /*sidecar=*/true);
+    return finish(engine.run_trcd(), render_trcd_sweep);
   }
   if (request.test == "retention") {
-    auto sweep = study.retention_sweep(cfg);
-    if (!sweep) {
-      std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
-      return 1;
-    }
-    if (has_flag(flags, "counters")) {
-      std::printf("instrumentation: %s\n",
-                  sweep->instrumentation.summary().c_str());
-    }
-    return render_retention_sweep(*sweep, csv_path, /*sidecar=*/true);
+    return finish(engine.run_retention(), render_retention_sweep);
   }
   std::fprintf(stderr, "unknown --test '%s'\n", request.test.c_str());
   return 1;
@@ -458,14 +447,8 @@ int cmd_profile(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_inject_remote(const std::map<std::string, std::string>& flags,
-                      std::uint16_t port) {
-  if (has_flag(flags, "csv") || has_flag(flags, "dump-dir")) {
-    std::fprintf(stderr,
-                 "--csv/--dump-dir are not supported with --connect (the "
-                 "artifacts would land on the daemon's filesystem)\n");
-    return 3;
-  }
+server::InjectRequest inject_request_from_flags(
+    const std::map<std::string, std::string>& flags) {
   server::InjectRequest request;
   request.faults = flag_or(flags, "faults", "seed=1");
   request.modules.clear();
@@ -483,9 +466,22 @@ int cmd_inject_remote(const std::map<std::string, std::string>& flags,
       std::atoi(flag_or(flags, "retries", "3").c_str()));
   request.seed = static_cast<std::uint64_t>(
       std::strtoull(flag_or(flags, "seed", "1").c_str(), nullptr, 10));
+  // Generous default ring so quarantine dumps usually cover the whole
+  // failing session (untruncated dumps replay exactly).
   request.trace_cap = static_cast<std::uint64_t>(
       std::atoll(flag_or(flags, "trace-cap", "4096").c_str()));
+  return request;
+}
 
+int cmd_inject_remote(const std::map<std::string, std::string>& flags,
+                      const server::InjectRequest& request,
+                      std::uint16_t port) {
+  if (has_flag(flags, "csv") || has_flag(flags, "dump-dir")) {
+    std::fprintf(stderr,
+                 "--csv/--dump-dir are not supported with --connect (the "
+                 "artifacts would land on the daemon's filesystem)\n");
+    return 3;
+  }
   auto client = server::Client::connect(port);
   if (!client) {
     std::fprintf(stderr, "%s\n", client.error().to_string().c_str());
@@ -522,52 +518,21 @@ int cmd_inject(const std::map<std::string, std::string>& flags) {
   // Typed-error exit code contract (asserted by the replay-fuzz CI job):
   // 0 = campaign ran to completion (quarantined modules included),
   // 3 = typed error (bad spec, unknown module, export I/O failure).
+  const server::InjectRequest request = inject_request_from_flags(flags);
   const std::string connect = flag_or(flags, "connect", "");
   if (!connect.empty()) {
     return cmd_inject_remote(
-        flags, static_cast<std::uint16_t>(std::atoi(connect.c_str())));
+        flags, request,
+        static_cast<std::uint16_t>(std::atoi(connect.c_str())));
   }
-  auto plan = softmc::FaultPlan::parse(flag_or(flags, "faults", "seed=1"));
-  if (!plan) {
-    std::fprintf(stderr, "%s\n", plan.error().to_string().c_str());
+  // The same campaign builder the daemon uses, so a remote inject is the
+  // same campaign.
+  auto built = server::inject_campaign(request);
+  if (!built) {
+    std::fprintf(stderr, "%s\n", built.error().to_string().c_str());
     return 3;
   }
-
-  core::ResilientConfig config;
-  config.faults = std::move(*plan);
-  config.seed = static_cast<std::uint64_t>(
-      std::strtoull(flag_or(flags, "seed", "1").c_str(), nullptr, 10));
-  config.retry.max_attempts = static_cast<std::uint32_t>(
-      std::atoi(flag_or(flags, "retries", "3").c_str()));
-
-  const auto rows =
-      static_cast<std::uint32_t>(std::atoi(flag_or(flags, "rows", "8").c_str()));
-  // Generous default ring so quarantine dumps usually cover the whole
-  // failing session (untruncated dumps replay exactly).
-  config.trace_capacity = static_cast<std::size_t>(
-      std::atoll(flag_or(flags, "trace-cap", "4096").c_str()));
-  config.sweep = core::SweepConfig::quick();
-  config.sweep.sampling.chunks = 2;
-  config.sweep.sampling.rows_per_chunk = std::max(1u, rows / 2);
-
-  std::string names =
-      flag_or(flags, "modules", flag_or(flags, "module", "B3"));
-  for (std::size_t pos = 0; pos <= names.size();) {
-    const std::size_t end = std::min(names.find(',', pos), names.size());
-    const std::string name = names.substr(pos, end - pos);
-    pos = end + 1;
-    if (name.empty()) continue;
-    auto profile = chips::profile_by_name(name);
-    if (!profile) {
-      std::fprintf(stderr, "unknown module '%s'\n", name.c_str());
-      return 3;
-    }
-    // Small banks keep the campaign fast; physics keys off the profile seed.
-    profile->rows_per_bank = 4096;
-    config.modules.push_back(std::move(*profile));
-  }
-
-  const core::CampaignResult campaign = core::run_resilient_rowhammer(config);
+  const core::CampaignResult campaign = built->run();
 
   for (const auto& m : campaign.modules) {
     std::printf("%-4s %-11s attempts=%u injected=%llu", m.module_name.c_str(),
