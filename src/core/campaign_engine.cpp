@@ -1,9 +1,11 @@
 // CampaignEngine execution: plan compilation into (module, point, shard)
-// units, the layered resolve order (manifest -> CellStore -> compute), and
-// the deterministic drain/assembly that keeps results byte-identical to the
-// pre-engine drivers. Manifest/plan serialization lives in campaign.cpp.
+// units, and one unit pipeline -- the layered resolve order (manifest ->
+// CellStore -> compute) and the deterministic drain -- that runs the whole
+// grid for CampaignEngine::run_* (with checkpoint journal, compaction and
+// grid assembly) and a leased index subset for run_campaign_shards (no
+// checkpoint; records returned to the coordinator). Manifest/plan
+// serialization lives in campaign.cpp.
 #include <algorithm>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <optional>
@@ -128,18 +130,11 @@ common::Expected<ManifestCtx> init_manifest(const CampaignPlan& plan,
   ManifestCtx ctx;
   if (plan.manifest_path.empty()) return ctx;
   ctx.enabled = true;
-  if (std::ifstream probe(plan.manifest_path); probe.good()) {
-    VPP_ASSIGN_OR_RETURN(ManifestFile file,
-                         read_manifest_file(plan.manifest_path));
-    VPP_RETURN_IF_ERROR(
-        check_manifest_plan(file.manifest, phase, plan.digest(phase)));
-    ctx.journal = ManifestJournal(plan.manifest_path, phase, &file);
-    ctx.doc = std::move(file.manifest);
-  } else {
-    ctx.journal = ManifestJournal(plan.manifest_path, phase, nullptr);
-    ctx.doc = campaign_manifest_spec(plan, phase);
-  }
-  ctx.doc.planned_shards = planned_shards;
+  VPP_ASSIGN_OR_RETURN(OpenedManifest opened,
+                       open_campaign_manifest(plan.manifest_path, plan, phase,
+                                              planned_shards));
+  ctx.doc = std::move(opened.manifest);
+  ctx.journal = std::move(opened.journal);
   for (std::size_t i = 0; i < ctx.doc.wcdp.size(); ++i) {
     ctx.wcdp_at.try_emplace(ctx.doc.wcdp[i].module, i);
   }
@@ -289,7 +284,58 @@ struct PrepState {
   std::future<common::Expected<WcdpPrep>> future;
 };
 
-/// One (module, point, shard) unit through the resolve pipeline.
+/// One (module, point, shard) unit of the grid: indices into
+/// CampaignPlan::modules, that module's points, and its shards.
+struct UnitRef {
+  std::size_t m = 0;
+  std::size_t p = 0;
+  std::size_t s = 0;
+};
+
+/// Every unit of the grid, in canonical (module, point, shard) order.
+std::vector<UnitRef> grid_units(const std::vector<ModulePlan>& plans) {
+  std::vector<UnitRef> refs;
+  for (std::size_t m = 0; m < plans.size(); ++m) {
+    for (std::size_t p = 0; p < plans[m].points.size(); ++p) {
+      for (std::size_t s = 0; s < plans[m].shards.size(); ++s) {
+        refs.push_back({m, p, s});
+      }
+    }
+  }
+  return refs;
+}
+
+/// The units at flat canonical-grid `indices`, sorted and deduplicated;
+/// kInvalidArgument for an index past the grid.
+common::Expected<std::vector<UnitRef>> units_at(
+    const std::vector<ModulePlan>& plans, std::vector<std::uint64_t> indices) {
+  std::vector<std::uint64_t> offsets(plans.size() + 1, 0);
+  for (std::size_t m = 0; m < plans.size(); ++m) {
+    offsets[m + 1] =
+        offsets[m] + plans[m].points.size() * plans[m].shards.size();
+  }
+  std::sort(indices.begin(), indices.end());
+  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+  if (!indices.empty() && indices.back() >= offsets.back()) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "shard index " + std::to_string(indices.back()) +
+                     " is outside the campaign grid (" +
+                     std::to_string(offsets.back()) + " shards)"};
+  }
+  std::vector<UnitRef> refs;
+  refs.reserve(indices.size());
+  std::size_t m = 0;
+  for (const std::uint64_t index : indices) {
+    while (offsets[m + 1] <= index) ++m;
+    const std::uint64_t local = index - offsets[m];
+    const std::size_t shards = plans[m].shards.size();
+    refs.push_back({m, static_cast<std::size_t>(local / shards),
+                    static_cast<std::size_t>(local % shards)});
+  }
+  return refs;
+}
+
+/// One unit through the resolve pipeline.
 template <typename Traits>
 struct UnitState {
   bool resolved = false;    ///< rows fully populated
@@ -304,40 +350,84 @@ struct UnitState {
   std::future<common::Expected<typename Traits::Cell>> future;
 };
 
+/// The engine's unit pipeline over a list of units in canonical order --
+/// the whole grid for CampaignEngine::run_*, a leased subset for
+/// run_campaign_shards. run() resolves the WCDP prep of every module the
+/// units reference, then every unit, each in the layered order manifest ->
+/// CellStore -> compute, and drains them in list order.
 template <typename Traits>
-common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
-    const CampaignPlan& plan, CellStore* store,
+struct UnitPipeline {
+  static constexpr bool kHasPrep = Traits::kPhase == JobPhase::kRowHammer;
+
+  UnitPipeline(const CampaignPlan& plan_in, std::vector<ModulePlan> plans_in,
+               std::vector<UnitRef> refs_in)
+      : plan(plan_in),
+        plans(std::move(plans_in)),
+        refs(std::move(refs_in)),
+        preps(plans.size()) {}
+
+  const CampaignPlan& plan;
+  std::vector<ModulePlan> plans;
+  std::vector<UnitRef> refs;
+  std::vector<PrepState> preps;          ///< per module
+  std::vector<UnitState<Traits>> units;  ///< parallel to refs
+
+  /// The records of a resolved prep and unit, shared by the journal
+  /// appends, the compaction and the leased batch.
+  [[nodiscard]] ManifestWcdp wcdp_record(std::size_t m) const {
+    ManifestWcdp record;
+    record.module = plan.modules[m].name;
+    record.wcdp = preps[m].wcdp;
+    record.counted = preps[m].counted;
+    record.counts = preps[m].counts;
+    return record;
+  }
+  [[nodiscard]] ManifestShard shard_record(std::size_t u) const {
+    const UnitRef& ref = refs[u];
+    const ShardSpec shard = plans[ref.m].shards[ref.s];
+    ManifestShard record;
+    record.module = plan.modules[ref.m].name;
+    record.point = plans[ref.m].points[ref.p];
+    record.row_begin = static_cast<std::uint32_t>(shard.begin);
+    record.row_end = static_cast<std::uint32_t>(shard.end);
+    record.counted = units[u].counted;
+    record.counts = units[u].counts;
+    Traits::rows(record) = units[u].rows;
+    return record;
+  }
+
+  /// Resolve and execute every unit, appending each new record to
+  /// `manifest` when it is enabled. The first failing unit in list order
+  /// is the run's error.
+  [[nodiscard]] common::Status run(ManifestCtx& manifest, CellStore* store,
+                                   const CampaignEngine::Execution& injected);
+};
+
+template <typename Traits>
+common::Status UnitPipeline<Traits>::run(
+    ManifestCtx& manifest, CellStore* store,
     const CampaignEngine::Execution& injected) {
-  constexpr bool kHasPrep = Traits::kPhase == JobPhase::kRowHammer;
   const SweepConfig& sweep = plan.sweep;
   const std::uint64_t seed = plan.seed;
 
-  VPP_ASSIGN_OR_RETURN(std::vector<ModulePlan> plans,
-                       plan_modules(plan, Traits::kPhase));
-
-  std::uint64_t planned_shards = 0;
-  std::size_t planned_jobs = 0;
-  for (const ModulePlan& mp : plans) {
-    planned_shards += mp.points.size() * mp.shards.size();
-    planned_jobs +=
-        (kHasPrep ? 1 : 0) + mp.points.size() * mp.shards.size();
+  std::vector<bool> referenced(plans.size(), false);
+  for (const UnitRef& ref : refs) referenced[ref.m] = true;
+  std::size_t planned_jobs = refs.size();
+  if constexpr (kHasPrep) {
+    planned_jobs += std::count(referenced.begin(), referenced.end(), true);
   }
-
-  VPP_ASSIGN_OR_RETURN(ManifestCtx manifest,
-                       init_manifest(plan, Traits::kPhase, planned_shards));
-
   Exec exec = make_exec(injected, plan.jobs, planned_jobs);
   auto& arenas = *exec.arenas;
   auto& pool = *exec.pool;
 
   std::optional<Error> first_error;
-  std::vector<PrepState> preps(plans.size());
 
-  // Phase A (hammer only): resolve each module's WCDP prep -- manifest
-  // record, then CellStore, then a prep job; all prep jobs in flight at
-  // once, like the pre-engine driver.
+  // Phase A (hammer only): resolve each referenced module's WCDP prep --
+  // manifest record, then CellStore, then a prep job; all prep jobs in
+  // flight at once.
   if constexpr (kHasPrep) {
     for (std::size_t m = 0; m < plans.size(); ++m) {
+      if (!referenced[m]) continue;
       const dram::ModuleProfile& profile = plan.modules[m];
       if (const ManifestWcdp* rec = manifest.find_wcdp(profile.name)) {
         preps[m].wcdp = rec->wcdp;
@@ -368,163 +458,147 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
     }
   }
 
-  // Compile the unit table up front so lambda captures stay stable.
-  std::vector<std::vector<UnitState<Traits>>> units(plans.size());
-  for (std::size_t m = 0; m < plans.size(); ++m) {
-    units[m].resize(plans[m].points.size() * plans[m].shards.size());
-  }
+  // The unit table is compiled only now, with the prep jobs in flight.
+  units.resize(refs.size());
+
+  // Submission: at a module's first unit, drain its prep; then fan out the
+  // unit. A unit resolves against the manifest first, then row by row
+  // against the CellStore (on this thread, in list order, so store hit/miss
+  // accounting is deterministic), and only the still-missing rows are
+  // computed.
   std::uint32_t new_shards = 0;
-
-  // The manifest records of a resolved prep and unit, shared by the journal
-  // appends and the compaction.
-  const auto wcdp_record = [&](std::size_t m) {
-    ManifestWcdp record;
-    record.module = plan.modules[m].name;
-    record.wcdp = preps[m].wcdp;
-    record.counted = preps[m].counted;
-    record.counts = preps[m].counts;
-    return record;
-  };
-  const auto shard_record = [&](std::size_t m, std::size_t p, std::size_t s) {
-    const UnitState<Traits>& unit = units[m][p * plans[m].shards.size() + s];
-    ManifestShard record;
-    record.module = plan.modules[m].name;
-    record.point = plans[m].points[p];
-    record.row_begin = static_cast<std::uint32_t>(plans[m].shards[s].begin);
-    record.row_end = static_cast<std::uint32_t>(plans[m].shards[s].end);
-    record.counted = unit.counted;
-    record.counts = unit.counts;
-    Traits::rows(record) = unit.rows;
-    return record;
-  };
-
-  // Submission: drain module m's prep (in order), then fan out its
-  // (point, shard) units. Units resolve against the manifest first, then
-  // row-by-row against the CellStore (on this thread, in unit order, so
-  // store hit/miss accounting is deterministic), and only the still-missing
-  // rows are computed.
-  for (std::size_t m = 0; m < plans.size(); ++m) {
+  for (std::size_t u = 0; u < refs.size(); ++u) {
+    const auto [m, p, s] = refs[u];
     const dram::ModuleProfile& profile = plan.modules[m];
     if constexpr (kHasPrep) {
-      if (preps[m].submitted) {
-        auto prep = preps[m].future.get();
-        if (!prep) {
-          if (!first_error) first_error = std::move(prep).error();
-          continue;
+      if (u == 0 || refs[u - 1].m != m) {
+        if (preps[m].submitted) {
+          auto prep = preps[m].future.get();
+          if (!prep) {
+            if (!first_error) first_error = std::move(prep).error();
+            continue;
+          }
+          preps[m].wcdp = std::move(prep->wcdp);
+          preps[m].counts = prep->counts;
+          preps[m].counted = true;
+          if (store != nullptr) store->store_wcdp(profile, preps[m].wcdp);
         }
-        preps[m].wcdp = std::move(prep->wcdp);
-        preps[m].counts = prep->counts;
-        preps[m].counted = true;
-        if (store != nullptr) store->store_wcdp(profile, preps[m].wcdp);
-      }
-      if (manifest.enabled && !preps[m].restored && !first_error) {
-        if (auto st = manifest.append(wcdp_record(m)); !st.ok()) {
-          first_error = std::move(st).error();
+        if (manifest.enabled && !preps[m].restored && !first_error) {
+          if (auto st = manifest.append(wcdp_record(m)); !st.ok()) {
+            first_error = std::move(st).error();
+          }
         }
       }
     }
     if (first_error) continue;  // keep draining preps; stop submitting units
 
+    const AxisPoint& point = plans[m].points[p];
+    const ShardSpec shard = plans[m].shards[s];
+    UnitState<Traits>& unit = units[u];
+    if (const ManifestShard* rec = manifest.find_shard(
+            profile.name, point, static_cast<std::uint32_t>(shard.begin),
+            static_cast<std::uint32_t>(shard.end))) {
+      unit.resolved = true;
+      unit.in_manifest = true;
+      unit.counted = rec->counted;
+      unit.counts = rec->counts;
+      unit.rows = Traits::rows(*rec);
+      continue;
+    }
     const std::vector<std::uint32_t>& rows = *plans[m].rows;
-    for (std::size_t p = 0; p < plans[m].points.size(); ++p) {
-      const AxisPoint& point = plans[m].points[p];
-      for (std::size_t s = 0; s < plans[m].shards.size(); ++s) {
-        const ShardSpec shard = plans[m].shards[s];
-        UnitState<Traits>& unit = units[m][p * plans[m].shards.size() + s];
-        if (const ManifestShard* rec = manifest.find_shard(
-                profile.name, point, static_cast<std::uint32_t>(shard.begin),
-                static_cast<std::uint32_t>(shard.end))) {
-          unit.resolved = true;
-          unit.in_manifest = true;
-          unit.counted = rec->counted;
-          unit.counts = rec->counts;
-          unit.rows = Traits::rows(*rec);
-          continue;
+    const std::size_t size = shard.end - shard.begin;
+    unit.rows.resize(size);
+    std::vector<dram::DataPattern> missing_wcdp;
+    for (std::size_t i = 0; i < size; ++i) {
+      const std::uint32_t row = rows[shard.begin + i];
+      typename Traits::RowResult cached;
+      if (store != nullptr &&
+          Traits::lookup(*store, profile, point, row, &cached)) {
+        unit.rows[i] = std::move(cached);
+      } else {
+        unit.missing.push_back(row);
+        unit.missing_index.push_back(i);
+        if constexpr (kHasPrep) {
+          missing_wcdp.push_back(preps[m].wcdp[shard.begin + i]);
         }
-        const std::size_t size = shard.end - shard.begin;
-        unit.rows.resize(size);
-        std::vector<dram::DataPattern> missing_wcdp;
-        for (std::size_t i = 0; i < size; ++i) {
-          const std::uint32_t row = rows[shard.begin + i];
-          typename Traits::RowResult cached;
-          if (store != nullptr &&
-              Traits::lookup(*store, profile, point, row, &cached)) {
-            unit.rows[i] = std::move(cached);
-          } else {
-            unit.missing.push_back(row);
-            unit.missing_index.push_back(i);
-            if constexpr (kHasPrep) {
-              missing_wcdp.push_back(preps[m].wcdp[shard.begin + i]);
-            }
-          }
-        }
-        if (unit.missing.empty()) {
-          unit.resolved = true;  // fully served from the store; not counted
-          continue;
-        }
-        if (plan.max_new_shards != 0 && new_shards >= plan.max_new_shards) {
-          unit.budget_skipped = true;
-          continue;
-        }
-        ++new_shards;
-        unit.submitted = true;
-        unit.future = pool.submit(
-            [&arenas, &pool, &profile, &sweep, &axes = plan.axes, seed, point,
-             cancel = plan.cancel, missing = unit.missing,
-             wcdp = std::move(missing_wcdp)] {
-              return Traits::run(arenas.local(pool).acquire(profile), sweep,
-                                 axes, seed, point, std::span(missing),
-                                 std::span(wcdp), cancel);
-            });
       }
     }
+    if (unit.missing.empty()) {
+      unit.resolved = true;  // fully served from the store; not counted
+      continue;
+    }
+    if (plan.max_new_shards != 0 && new_shards >= plan.max_new_shards) {
+      unit.budget_skipped = true;
+      continue;
+    }
+    ++new_shards;
+    unit.submitted = true;
+    unit.future = pool.submit(
+        [&arenas, &pool, &profile, &sweep, &axes = plan.axes, seed, point,
+         cancel = plan.cancel, missing = unit.missing,
+         wcdp = std::move(missing_wcdp)] {
+          return Traits::run(arenas.local(pool).acquire(profile), sweep, axes,
+                             seed, point, std::span(missing), std::span(wcdp),
+                             cancel);
+        });
   }
 
-  // Drain every in-flight unit in (module, point, shard) order -- even after
-  // a failure, so a shared pool never runs jobs whose captures are gone and
-  // completed work still reaches the checkpoint. The first failing unit in
-  // this fixed order is the campaign's error.
-  for (std::size_t m = 0; m < plans.size(); ++m) {
-    const dram::ModuleProfile& profile = plan.modules[m];
-    for (std::size_t p = 0; p < plans[m].points.size(); ++p) {
-      const AxisPoint& point = plans[m].points[p];
-      for (std::size_t s = 0; s < plans[m].shards.size(); ++s) {
-        UnitState<Traits>& unit = units[m][p * plans[m].shards.size() + s];
-        if (unit.budget_skipped) {
-          if (!first_error) {
-            first_error = Error{ErrorCode::kCancelled,
-                                "campaign shard budget exhausted "
-                                "(max_new_shards reached)"}
-                              .with_module(profile.name);
-          }
-          continue;
+  // Drain every in-flight unit in list order -- even after a failure, so a
+  // shared pool never runs jobs whose captures are gone and completed work
+  // still reaches the checkpoint. The first failing unit in this fixed
+  // order is the run's error.
+  for (std::size_t u = 0; u < refs.size(); ++u) {
+    const dram::ModuleProfile& profile = plan.modules[refs[u].m];
+    UnitState<Traits>& unit = units[u];
+    if (unit.budget_skipped) {
+      if (!first_error) {
+        first_error = Error{ErrorCode::kCancelled,
+                            "campaign shard budget exhausted "
+                            "(max_new_shards reached)"}
+                          .with_module(profile.name);
+      }
+      continue;
+    }
+    if (unit.submitted) {
+      auto cell = unit.future.get();
+      if (!cell) {
+        if (!first_error) first_error = std::move(cell).error();
+        continue;
+      }
+      unit.counted = true;
+      unit.counts = cell->counts;
+      const AxisPoint& point = plans[refs[u].m].points[refs[u].p];
+      for (std::size_t k = 0; k < unit.missing.size(); ++k) {
+        unit.rows[unit.missing_index[k]] = cell->rows[k];
+        if (store != nullptr) {
+          Traits::insert(*store, profile, point,
+                         unit.rows[unit.missing_index[k]]);
         }
-        if (unit.submitted) {
-          auto cell = unit.future.get();
-          if (!cell) {
-            if (!first_error) first_error = std::move(cell).error();
-            continue;
-          }
-          unit.counted = true;
-          unit.counts = cell->counts;
-          for (std::size_t k = 0; k < unit.missing.size(); ++k) {
-            unit.rows[unit.missing_index[k]] = cell->rows[k];
-            if (store != nullptr) {
-              Traits::insert(*store, profile, point,
-                             unit.rows[unit.missing_index[k]]);
-            }
-          }
-          unit.resolved = true;
-        }
-        if (unit.resolved && !unit.in_manifest && manifest.enabled) {
-          if (auto st = manifest.append(shard_record(m, p, s)); !st.ok()) {
-            if (!first_error) first_error = std::move(st).error();
-          }
-        }
+      }
+      unit.resolved = true;
+    }
+    if (unit.resolved && !unit.in_manifest && manifest.enabled) {
+      if (auto st = manifest.append(shard_record(u)); !st.ok()) {
+        if (!first_error) first_error = std::move(st).error();
       }
     }
   }
   if (first_error) return *std::move(first_error);
+  return common::Status::ok_status();
+}
+
+template <typename Traits>
+common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
+    const CampaignPlan& plan, CellStore* store,
+    const CampaignEngine::Execution& injected) {
+  VPP_ASSIGN_OR_RETURN(std::vector<ModulePlan> plans,
+                       plan_modules(plan, Traits::kPhase));
+  std::vector<UnitRef> refs = grid_units(plans);
+  UnitPipeline<Traits> pipeline(plan, std::move(plans), std::move(refs));
+  VPP_ASSIGN_OR_RETURN(
+      ManifestCtx manifest,
+      init_manifest(plan, Traits::kPhase, pipeline.refs.size()));
+  VPP_RETURN_IF_ERROR(pipeline.run(manifest, store, injected));
 
   // The run finished: compact the journal into one canonical document --
   // the spec, then every record in (module, point, shard) order.
@@ -532,191 +606,79 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
     CampaignManifest canonical = std::move(manifest.doc);
     canonical.wcdp.clear();
     canonical.shards.clear();
-    for (std::size_t m = 0; m < plans.size(); ++m) {
-      if constexpr (kHasPrep) canonical.wcdp.push_back(wcdp_record(m));
-      for (std::size_t p = 0; p < plans[m].points.size(); ++p) {
-        for (std::size_t s = 0; s < plans[m].shards.size(); ++s) {
-          canonical.shards.push_back(shard_record(m, p, s));
-        }
+    if constexpr (UnitPipeline<Traits>::kHasPrep) {
+      for (std::size_t m = 0; m < pipeline.plans.size(); ++m) {
+        canonical.wcdp.push_back(pipeline.wcdp_record(m));
       }
+    }
+    for (std::size_t u = 0; u < pipeline.refs.size(); ++u) {
+      canonical.shards.push_back(pipeline.shard_record(u));
     }
     VPP_RETURN_IF_ERROR(manifest.journal.compact(canonical));
   }
 
   // Assembly in (module, point, shard) order: instrumentation job order and
   // per-row series match the pre-engine drivers exactly.
-  std::vector<typename Traits::Grid> grids;
-  grids.reserve(plans.size());
-  for (std::size_t m = 0; m < plans.size(); ++m) {
+  std::vector<typename Traits::Grid> grids(pipeline.plans.size());
+  for (std::size_t m = 0; m < pipeline.plans.size(); ++m) {
     const dram::ModuleProfile& profile = plan.modules[m];
-    typename Traits::Grid grid;
+    typename Traits::Grid& grid = grids[m];
     grid.module_name = profile.name;
     if constexpr (std::is_same_v<typename Traits::Grid, HammerGrid>) {
       grid.mfr = profile.mfr;
       grid.vppmin_v = profile.vppmin_v;
-      grid.wcdp = preps[m].wcdp;
-      if (preps[m].counted) grid.instrumentation.add_job(preps[m].counts);
+      grid.wcdp = pipeline.preps[m].wcdp;
+      if (pipeline.preps[m].counted) {
+        grid.instrumentation.add_job(pipeline.preps[m].counts);
+      }
     } else if constexpr (std::is_same_v<typename Traits::Grid, TrcdGrid>) {
       grid.vppmin_v = profile.vppmin_v;
     } else {
       grid.mfr = profile.mfr;
     }
-    grid.rows = *plans[m].rows;
-    grid.points = plans[m].points;
-    grid.cells.resize(plans[m].points.size());
-    for (std::size_t p = 0; p < plans[m].points.size(); ++p) {
-      grid.cells[p].resize(grid.rows.size());
-      for (std::size_t s = 0; s < plans[m].shards.size(); ++s) {
-        const ShardSpec shard = plans[m].shards[s];
-        UnitState<Traits>& unit = units[m][p * plans[m].shards.size() + s];
-        if (unit.counted) grid.instrumentation.add_job(unit.counts);
-        for (std::size_t i = shard.begin; i < shard.end; ++i) {
-          grid.cells[p][i] = std::move(unit.rows[i - shard.begin]);
-        }
-      }
+    grid.rows = *pipeline.plans[m].rows;
+    grid.points = pipeline.plans[m].points;
+    grid.cells.assign(
+        grid.points.size(),
+        std::vector<typename Traits::RowResult>(grid.rows.size()));
+  }
+  for (std::size_t u = 0; u < pipeline.refs.size(); ++u) {
+    const UnitRef& ref = pipeline.refs[u];
+    const ShardSpec shard = pipeline.plans[ref.m].shards[ref.s];
+    UnitState<Traits>& unit = pipeline.units[u];
+    typename Traits::Grid& grid = grids[ref.m];
+    if (unit.counted) grid.instrumentation.add_job(unit.counts);
+    for (std::size_t i = shard.begin; i < shard.end; ++i) {
+      grid.cells[ref.p][i] = std::move(unit.rows[i - shard.begin]);
     }
-    grids.push_back(std::move(grid));
   }
   return grids;
 }
 
-/// run_campaign_shards for one phase: the leased-subset variant of
-/// run_grid_phase. Same pool/arena structure, same stream seeds, but no
-/// manifest and no per-row CellStore resolve -- leases are disjoint, so
-/// every row of every named shard is computed fresh and every returned
-/// record carries counted=true, exactly like a storeless single-host run.
+/// run_campaign_shards for one phase: the unit pipeline over the leased
+/// subset. The coordinator owns the checkpoint, so this never touches
+/// plan.manifest_path.
 template <typename Traits>
-common::Expected<CampaignShardBatch> run_shard_subset(
+common::Expected<CampaignShardBatch> run_shard_units(
     const CampaignPlan& plan, const std::vector<std::uint64_t>& indices,
     CellStore* store, const CampaignEngine::Execution& injected) {
-  constexpr bool kHasPrep = Traits::kPhase == JobPhase::kRowHammer;
-  const SweepConfig& sweep = plan.sweep;
-  const std::uint64_t seed = plan.seed;
-
   VPP_ASSIGN_OR_RETURN(std::vector<ModulePlan> plans,
                        plan_modules(plan, Traits::kPhase));
-
-  // Map flat grid indices back to (module, point, shard).
-  std::vector<std::uint64_t> offsets(plans.size() + 1, 0);
-  for (std::size_t m = 0; m < plans.size(); ++m) {
-    offsets[m + 1] =
-        offsets[m] + plans[m].points.size() * plans[m].shards.size();
-  }
-  std::vector<std::uint64_t> sorted = indices;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  struct Unit {
-    std::size_t m = 0;
-    std::size_t p = 0;
-    std::size_t s = 0;
-  };
-  std::vector<Unit> subset;
-  subset.reserve(sorted.size());
-  std::vector<bool> module_used(plans.size(), false);
-  for (const std::uint64_t index : sorted) {
-    if (index >= offsets.back()) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "shard index " + std::to_string(index) +
-                       " is outside the campaign grid (" +
-                       std::to_string(offsets.back()) + " shards)"};
-    }
-    Unit unit;
-    while (offsets[unit.m + 1] <= index) ++unit.m;
-    const std::uint64_t local = index - offsets[unit.m];
-    unit.p = static_cast<std::size_t>(local / plans[unit.m].shards.size());
-    unit.s = static_cast<std::size_t>(local % plans[unit.m].shards.size());
-    module_used[unit.m] = true;
-    subset.push_back(unit);
-  }
+  VPP_ASSIGN_OR_RETURN(std::vector<UnitRef> refs, units_at(plans, indices));
+  UnitPipeline<Traits> pipeline(plan, std::move(plans), std::move(refs));
+  ManifestCtx no_manifest;
+  VPP_RETURN_IF_ERROR(pipeline.run(no_manifest, store, injected));
 
   CampaignShardBatch batch;
-  Exec exec = make_exec(injected, plan.jobs, subset.size());
-  auto& arenas = *exec.arenas;
-  auto& pool = *exec.pool;
-
-  // Phase A (hammer only): resolve the WCDP prep of every referenced
-  // module, preferring the worker's memo store so one worker records each
-  // module's prep at most once across its leases.
-  std::vector<PrepState> preps(plans.size());
-  if constexpr (kHasPrep) {
-    for (std::size_t m = 0; m < plans.size(); ++m) {
-      if (!module_used[m]) continue;
-      const dram::ModuleProfile& profile = plan.modules[m];
-      if (store != nullptr && store->lookup_wcdp(profile, &preps[m].wcdp)) {
-        continue;  // prep already computed (and recorded) by a prior batch
-      }
-      if (plan.cancel.cancelled()) {
-        return Error{ErrorCode::kCancelled, "sweep cancelled before WCDP prep"}
-            .with_module(profile.name);
-      }
-      auto prep =
-          pool.submit([&arenas, &pool, &profile, &sweep, seed,
-                       nominal = plans[m].nominal_vpp,
-                       rows = plans[m].rows]() -> common::Expected<WcdpPrep> {
-                return run_wcdp_prep(arenas.local(pool).acquire(profile),
-                                     sweep, seed, nominal, *rows);
-              })
-              .get();
-      if (!prep) return std::move(prep).error();
-      preps[m].wcdp = std::move(prep->wcdp);
-      preps[m].counts = prep->counts;
-      preps[m].counted = true;
-      if (store != nullptr) store->store_wcdp(profile, preps[m].wcdp);
-      ManifestWcdp record;
-      record.module = profile.name;
-      record.wcdp = preps[m].wcdp;
-      record.counted = true;
-      record.counts = preps[m].counts;
-      batch.wcdp.push_back(std::move(record));
+  for (std::size_t m = 0; m < pipeline.preps.size(); ++m) {
+    if (pipeline.preps[m].counted) {
+      batch.wcdp.push_back(pipeline.wcdp_record(m));
     }
   }
-
-  // Fan out the subset, then drain it in canonical order; the first failing
-  // unit in that order is the batch's error, like the engine.
-  std::vector<std::future<common::Expected<typename Traits::Cell>>> futures;
-  futures.reserve(subset.size());
-  for (const Unit& unit : subset) {
-    const dram::ModuleProfile& profile = plan.modules[unit.m];
-    const AxisPoint& point = plans[unit.m].points[unit.p];
-    const ShardSpec shard = plans[unit.m].shards[unit.s];
-    const std::vector<std::uint32_t>& rows = *plans[unit.m].rows;
-    std::vector<std::uint32_t> shard_rows(rows.begin() + shard.begin,
-                                          rows.begin() + shard.end);
-    std::vector<dram::DataPattern> shard_wcdp;
-    if constexpr (kHasPrep) {
-      shard_wcdp.assign(preps[unit.m].wcdp.begin() + shard.begin,
-                        preps[unit.m].wcdp.begin() + shard.end);
-    }
-    futures.push_back(pool.submit(
-        [&arenas, &pool, &profile, &sweep, &axes = plan.axes, seed, point,
-         cancel = plan.cancel, rows_in = std::move(shard_rows),
-         wcdp_in = std::move(shard_wcdp)] {
-          return Traits::run(arenas.local(pool).acquire(profile), sweep, axes,
-                             seed, point, std::span(rows_in),
-                             std::span(wcdp_in), cancel);
-        }));
+  batch.shards.reserve(pipeline.refs.size());
+  for (std::size_t u = 0; u < pipeline.refs.size(); ++u) {
+    batch.shards.push_back(pipeline.shard_record(u));
   }
-  std::optional<Error> first_error;
-  for (std::size_t i = 0; i < subset.size(); ++i) {
-    auto cell = futures[i].get();
-    if (!cell) {
-      if (!first_error) first_error = std::move(cell).error();
-      continue;
-    }
-    if (first_error) continue;
-    const Unit& unit = subset[i];
-    const ShardSpec shard = plans[unit.m].shards[unit.s];
-    ManifestShard record;
-    record.module = plan.modules[unit.m].name;
-    record.point = plans[unit.m].points[unit.p];
-    record.row_begin = static_cast<std::uint32_t>(shard.begin);
-    record.row_end = static_cast<std::uint32_t>(shard.end);
-    record.counted = true;
-    record.counts = cell->counts;
-    Traits::rows(record) = std::move(cell->rows);
-    batch.shards.push_back(std::move(record));
-  }
-  if (first_error) return *std::move(first_error);
   return batch;
 }
 
@@ -726,21 +688,16 @@ common::Expected<std::vector<ShardCoord>> compile_campaign_shards(
     const CampaignPlan& plan, JobPhase phase) {
   VPP_ASSIGN_OR_RETURN(std::vector<ModulePlan> plans,
                        plan_modules(plan, phase));
-  std::vector<ShardCoord> grid;
-  std::uint64_t index = 0;
-  for (std::size_t m = 0; m < plans.size(); ++m) {
-    for (std::size_t p = 0; p < plans[m].points.size(); ++p) {
-      for (std::size_t s = 0; s < plans[m].shards.size(); ++s) {
-        ShardCoord coord;
-        coord.index = index++;
-        coord.module_index = m;
-        coord.module = plan.modules[m].name;
-        coord.point = plans[m].points[p];
-        coord.row_begin = static_cast<std::uint32_t>(plans[m].shards[s].begin);
-        coord.row_end = static_cast<std::uint32_t>(plans[m].shards[s].end);
-        grid.push_back(std::move(coord));
-      }
-    }
+  const std::vector<UnitRef> refs = grid_units(plans);
+  std::vector<ShardCoord> grid(refs.size());
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    const auto [m, p, s] = refs[i];
+    grid[i].index = i;
+    grid[i].module_index = m;
+    grid[i].module = plan.modules[m].name;
+    grid[i].point = plans[m].points[p];
+    grid[i].row_begin = static_cast<std::uint32_t>(plans[m].shards[s].begin);
+    grid[i].row_end = static_cast<std::uint32_t>(plans[m].shards[s].end);
   }
   return grid;
 }
@@ -751,11 +708,11 @@ common::Expected<CampaignShardBatch> run_campaign_shards(
     CampaignExecution exec) {
   switch (phase) {
     case JobPhase::kRowHammer:
-      return run_shard_subset<HammerTraits>(plan, indices, store, exec);
+      return run_shard_units<HammerTraits>(plan, indices, store, exec);
     case JobPhase::kTrcd:
-      return run_shard_subset<TrcdTraits>(plan, indices, store, exec);
+      return run_shard_units<TrcdTraits>(plan, indices, store, exec);
     case JobPhase::kRetention:
-      return run_shard_subset<RetentionTraits>(plan, indices, store, exec);
+      return run_shard_units<RetentionTraits>(plan, indices, store, exec);
     case JobPhase::kWcdp:
       break;
   }

@@ -265,4 +265,24 @@ common::Status ManifestJournal::compact(const CampaignManifest& canonical) {
   return common::Status::ok_status();
 }
 
+common::Result<OpenedManifest> open_campaign_manifest(
+    const std::string& path, const CampaignPlan& plan, JobPhase phase,
+    std::uint64_t planned_shards) {
+  OpenedManifest opened;
+  if (path.empty()) {
+    opened.manifest = campaign_manifest_spec(plan, phase);
+  } else if (std::ifstream probe(path); probe.good()) {
+    VPP_ASSIGN_OR_RETURN(ManifestFile file, read_manifest_file(path));
+    VPP_RETURN_IF_ERROR(
+        check_manifest_plan(file.manifest, phase, plan.digest(phase)));
+    opened.journal = ManifestJournal(path, phase, &file);
+    opened.manifest = std::move(file.manifest);
+  } else {
+    opened.journal = ManifestJournal(path, phase, nullptr);
+    opened.manifest = campaign_manifest_spec(plan, phase);
+  }
+  opened.manifest.planned_shards = planned_shards;
+  return opened;
+}
+
 }  // namespace vppstudy::core

@@ -94,4 +94,21 @@ class ManifestJournal {
   int fd_ = -1;
 };
 
+/// A campaign checkpoint opened for one run: the manifest it resumes (or a
+/// fresh spec document) and the journal that appends to it.
+struct OpenedManifest {
+  CampaignManifest manifest;
+  ManifestJournal journal;
+};
+
+/// Open the checkpoint at `path` for `phase` of `plan`, as the engine and
+/// the coordinator both do before their first record. An existing file is
+/// read in either form and must checkpoint this plan and phase
+/// (check_manifest_plan); a missing one starts from campaign_manifest_spec.
+/// An empty path yields the spec and a journal that is never opened.
+/// `planned_shards` is stamped on the manifest in every case.
+[[nodiscard]] common::Result<OpenedManifest> open_campaign_manifest(
+    const std::string& path, const CampaignPlan& plan, JobPhase phase,
+    std::uint64_t planned_shards);
+
 }  // namespace vppstudy::core

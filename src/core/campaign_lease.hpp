@@ -77,23 +77,28 @@ class ShardGridIndex {
 
 // --- Worker-side shard execution ---------------------------------------------
 
-/// The records one worker computed for a leased shard subset: WCDP prep
-/// records for modules whose prep this batch had to run (at most one per
-/// module per worker -- the CellStore memoizes preps across batches), plus
-/// one ManifestShard per leased index. Byte-identical to what a single-host
-/// engine run records for the same cells.
+/// The records one worker computed for a leased shard subset: a WCDP prep
+/// record for each module whose prep this batch ran a session for (none
+/// when the CellStore served it -- a per-worker memo makes that at most
+/// once per module per worker), plus one ManifestShard per leased index, in
+/// ascending index order. Byte-identical to what a single-host engine run
+/// records for the same cells.
 struct CampaignShardBatch {
   std::vector<ManifestWcdp> wcdp;
   std::vector<ManifestShard> shards;
 };
 
-/// Execute a shard index subset of the canonical grid. Indices are sorted
-/// and deduplicated, then run through the same phase primitives (and the
-/// same per-point stream seeds) as the engine, on an engine-style pool.
-/// `store` is consulted for WCDP preps only (lookup_wcdp/store_wcdp): pass a
-/// per-worker memo so repeated leases of one module's shards run its prep
-/// once. Row results are always computed (leases are disjoint, so there is
-/// nothing to share), hence every returned shard record has counted=true.
+/// Execute a shard index subset of the canonical grid: the engine's own
+/// unit pipeline (same resolve order, same per-point stream seeds, same
+/// pool) over the sorted, deduplicated indices. An index past the grid is
+/// kInvalidArgument before anything runs. `store` is consulted like the
+/// engine consults it, for WCDP preps and for rows; pass a per-worker memo
+/// so repeated leases of one module's shards run its prep once. A shard
+/// whose rows all came from the store has counted=false; a memo that serves
+/// no rows leaves every shard counted=true, like a storeless single-host
+/// run. plan.max_new_shards caps the computed shards as it does for the
+/// engine. Never reads or writes plan.manifest_path: the coordinator owns
+/// the checkpoint.
 [[nodiscard]] common::Expected<CampaignShardBatch> run_campaign_shards(
     const CampaignPlan& plan, JobPhase phase,
     const std::vector<std::uint64_t>& indices, CellStore* store,

@@ -301,15 +301,7 @@ common::Expected<FuzzCampaignResult> run_fuzz_campaign(
     manifest.config_hash = digest;
     manifest.generations = config.generations;
     manifest.fuzzer = config.fuzzer;
-    manifest.plan.phase = JobPhase::kRowHammer;
-    manifest.plan.plan_hash = config.base.digest(JobPhase::kRowHammer);
-    manifest.plan.sweep = config.base.sweep;
-    manifest.plan.axes = config.base.axes;
-    manifest.plan.seed = config.base.seed;
-    manifest.plan.rows_per_shard = config.base.rows_per_shard;
-    for (const dram::ModuleProfile& mod : config.base.modules) {
-      manifest.plan.modules.emplace_back(mod.name, mod.rows_per_bank);
-    }
+    manifest.plan = campaign_manifest_spec(config.base, JobPhase::kRowHammer);
     // Write the empty manifest up front: generation 0's engine checkpoints
     // land beside it, and a kill before the first generation completes must
     // still leave a file `fuzz resume` can load.

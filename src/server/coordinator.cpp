@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <fstream>
-#include <optional>
 #include <utility>
 
 namespace vppstudy::server {
@@ -36,31 +35,20 @@ common::Result<std::unique_ptr<CampaignCoordinator>> CampaignCoordinator::open(
   }
   coord->plan_ = std::move(plan);
 
-  // Manifest: resume an existing checkpoint (the same validation the engine
-  // applies) or start a fresh spec document. A journal holds its records in
+  // Manifest: resume an existing checkpoint (the same opener the engine
+  // uses) or start a fresh spec document. A journal holds its records in
   // arrival order; merging them into the bare spec rebuilds the canonical
   // order.
-  std::optional<core::ManifestFile> existing;
-  if (!coord->manifest_path_.empty()) {
-    if (std::ifstream probe(coord->manifest_path_); probe.good()) {
-      VPP_ASSIGN_OR_RETURN(existing,
-                           core::read_manifest_file(coord->manifest_path_));
-      VPP_RETURN_IF_ERROR(core::check_manifest_plan(existing->manifest, phase,
-                                                    coord->plan_hash_));
-    }
-    coord->journal_ = core::ManifestJournal(
-        coord->manifest_path_, phase, existing ? &*existing : nullptr);
-  }
+  VPP_ASSIGN_OR_RETURN(
+      core::OpenedManifest opened,
+      core::open_campaign_manifest(coord->manifest_path_, coord->plan_, phase,
+                                   coord->grid_.size()));
+  coord->manifest_ = std::move(opened.manifest);
+  coord->journal_ = std::move(opened.journal);
   std::vector<core::ManifestWcdp> restored_wcdp;
   std::vector<core::ManifestShard> restored_shards;
-  if (existing) {
-    coord->manifest_ = std::move(existing->manifest);
-    restored_wcdp.swap(coord->manifest_.wcdp);
-    restored_shards.swap(coord->manifest_.shards);
-  } else {
-    coord->manifest_ = core::campaign_manifest_spec(coord->plan_, phase);
-  }
-  coord->manifest_.planned_shards = coord->grid_.size();
+  restored_wcdp.swap(coord->manifest_.wcdp);
+  restored_shards.swap(coord->manifest_.shards);
   // Cache the zero-shard spec document shipped to need_plan workers.
   coord->spec_json_ = core::campaign_manifest_json(coord->manifest_).str();
   VPP_RETURN_IF_ERROR(core::merge_campaign_shards(

@@ -2,8 +2,9 @@
 //
 // A CampaignWorker connects to a coordinator daemon and loops
 // lease -> compute -> submit until the campaign completes: each granted
-// shard subset runs through core::run_campaign_shards (bit-identical to the
-// single-host engine), and the completed ManifestShard records stream back
+// shard subset runs through core::run_campaign_shards (the single-host
+// engine's own unit pipeline over the leased indices, so bit-identical to
+// it), and the completed ManifestShard records stream back
 // in a submit frame for the coordinator's canonical-order merge. A local
 // WCDP memo ensures each module's prep runs at most once per worker even
 // across many small leases.

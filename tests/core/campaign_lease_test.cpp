@@ -2,18 +2,21 @@
 // lease ledger's fencing/expiry state machine (driven by explicit now_ms,
 // no clocks), the partial-manifest merge's edge cases (stale token,
 // idempotent duplicates, out-of-order arrival, plan-hash mismatch), and
-// run_campaign_shards equivalence against the single-host engine.
+// run_campaign_shards: its subset contract, and equivalence against the
+// single-host engine in every phase.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "chips/module_db.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "core/campaign.hpp"
 #include "core/campaign_lease.hpp"
 #include "core/export.hpp"
@@ -37,23 +40,6 @@ CampaignPlan small_plan(std::uint64_t seed = 7) {
   plan.jobs = 2;
   plan.rows_per_shard = 2;
   return plan;
-}
-
-/// A fresh spec-only manifest for `plan`, the way a coordinator starts one.
-CampaignManifest spec_manifest(const CampaignPlan& plan, JobPhase phase,
-                               std::uint64_t planned_shards) {
-  CampaignManifest m;
-  m.phase = phase;
-  m.plan_hash = plan.digest(phase);
-  m.sweep = plan.sweep;
-  m.axes = plan.axes;
-  m.seed = plan.seed;
-  m.rows_per_shard = plan.rows_per_shard;
-  for (const dram::ModuleProfile& mod : plan.modules) {
-    m.modules.emplace_back(mod.name, mod.rows_per_bank);
-  }
-  m.planned_shards = planned_shards;
-  return m;
 }
 
 std::string temp_path(const char* tag) {
@@ -288,7 +274,8 @@ MergeFixtureState make_merge_fixture() {
   auto grid = compile_campaign_shards(s.plan, JobPhase::kRowHammer);
   EXPECT_TRUE(grid.has_value());
   s.grid = *grid;
-  s.manifest = spec_manifest(s.plan, JobPhase::kRowHammer, s.grid.size());
+  s.manifest = campaign_manifest_spec(s.plan, JobPhase::kRowHammer);
+  s.manifest.planned_shards = s.grid.size();
   std::vector<std::uint64_t> all(s.grid.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   auto batch =
@@ -322,9 +309,9 @@ TEST(CampaignShardMerge, OutOfOrderArrivalStillAssemblesCanonically) {
   MergeFixtureState s = make_merge_fixture();
   const std::uint64_t hash = s.manifest.plan_hash;
 
-  // Reference: merge everything in canonical order at once.
-  CampaignManifest in_order =
-      spec_manifest(s.plan, JobPhase::kRowHammer, s.grid.size());
+  // Reference: merge everything in canonical order at once, into a copy of
+  // the fixture's fresh spec.
+  CampaignManifest in_order = s.manifest;
   auto ref = merge_campaign_shards(in_order, s.grid, hash, s.batch.wcdp,
                                    s.batch.shards);
   ASSERT_TRUE(ref.has_value());
@@ -377,52 +364,205 @@ TEST(CampaignShardMerge, OffGridRecordRejectsWholeBatch) {
 
 // --- Shard-subset execution vs the single-host engine ------------------------
 
+/// The single-host result of `phase`: one grid JSON export per module.
+std::vector<std::string> engine_grids_json(CampaignPlan plan, JobPhase phase) {
+  CampaignEngine engine(std::move(plan));
+  std::vector<std::string> out;
+  const auto collect = [&out](auto grids) {
+    EXPECT_TRUE(grids.has_value()) << grids.error().to_string();
+    if (!grids) return;
+    for (const auto& grid : *grids) out.push_back(grid_json(grid).str());
+  };
+  switch (phase) {
+    case JobPhase::kRowHammer:
+      collect(engine.run_hammer());
+      break;
+    case JobPhase::kTrcd:
+      collect(engine.run_trcd());
+      break;
+    case JobPhase::kRetention:
+      collect(engine.run_retention());
+      break;
+    case JobPhase::kWcdp:
+      ADD_FAILURE() << "wcdp is not a grid phase";
+      break;
+  }
+  return out;
+}
+
+std::string shard_bytes(const ManifestShard& shard, JobPhase phase) {
+  common::JsonWriter json;
+  manifest_shard_json(json, shard, phase);
+  return json.str();
+}
+
+bool file_exists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
+}
+
+/// Serves WCDP preps from a fixed map and counts every store lookup.
+class PrepStore final : public CellStore {
+ public:
+  std::map<std::string, std::vector<dram::DataPattern>> preps;
+  int lookups = 0;
+
+  bool lookup_wcdp(const dram::ModuleProfile& profile,
+                   std::vector<dram::DataPattern>* out) override {
+    ++lookups;
+    const auto it = preps.find(profile.name);
+    if (it == preps.end()) return false;
+    *out = it->second;
+    return true;
+  }
+  bool lookup_hammer(const dram::ModuleProfile&, const AxisPoint&,
+                     std::uint32_t, harness::RowHammerRowResult*) override {
+    ++lookups;
+    return false;
+  }
+};
+
 TEST(CampaignShardRun, DisjointSubsetsMergeToSingleHostResult) {
+  for (const JobPhase phase :
+       {JobPhase::kRowHammer, JobPhase::kTrcd, JobPhase::kRetention}) {
+    SCOPED_TRACE(std::string(campaign_phase_name(phase)));
+    const CampaignPlan plan = small_plan();
+    auto grid = compile_campaign_shards(plan, phase);
+    ASSERT_TRUE(grid.has_value());
+    CampaignManifest manifest = campaign_manifest_spec(plan, phase);
+    manifest.planned_shards = grid->size();
+
+    // Two "workers" split the grid interleaved (worst case for locality),
+    // each computing its half independently.
+    std::vector<std::uint64_t> even, odd;
+    for (std::uint64_t i = 0; i < grid->size(); ++i) {
+      (i % 2 == 0 ? even : odd).push_back(i);
+    }
+    for (const auto* subset : {&even, &odd}) {
+      auto batch = run_campaign_shards(plan, phase, *subset, nullptr);
+      ASSERT_TRUE(batch.has_value()) << batch.error().to_string();
+      for (const ManifestShard& shard : batch->shards) {
+        EXPECT_TRUE(shard.counted);  // disjoint leases always compute fresh
+      }
+      auto merged = merge_campaign_shards(manifest, *grid, manifest.plan_hash,
+                                          batch->wcdp, batch->shards);
+      ASSERT_TRUE(merged.has_value()) << merged.error().to_string();
+      EXPECT_EQ(merged->accepted, subset->size());
+    }
+    ASSERT_EQ(manifest.shards.size(), grid->size());
+
+    // Resuming the engine over the merged manifest (zero fresh compute)
+    // must reproduce the single-host grids byte for byte.
+    const std::string path = temp_path("merged");
+    ASSERT_TRUE(write_campaign_manifest(path, manifest));
+    CampaignPlan resume_plan = small_plan();
+    resume_plan.manifest_path = path;
+    const std::vector<std::string> merged_grids =
+        engine_grids_json(std::move(resume_plan), phase);
+    std::remove(path.c_str());
+    std::remove(campaign_ledger_path(path).c_str());
+
+    const std::vector<std::string> single_grids =
+        engine_grids_json(small_plan(), phase);
+    ASSERT_EQ(single_grids.size(), plan.modules.size());
+    EXPECT_EQ(merged_grids, single_grids);
+  }
+}
+
+TEST(CampaignShardRun, IndexPastTheGridIsRejectedBeforeAnyWork) {
   const CampaignPlan plan = small_plan();
   auto grid = compile_campaign_shards(plan, JobPhase::kRowHammer);
   ASSERT_TRUE(grid.has_value());
-  CampaignManifest manifest =
-      spec_manifest(plan, JobPhase::kRowHammer, grid->size());
 
-  // Two "workers" split the grid interleaved (worst case for locality),
-  // each computing its half independently.
-  std::vector<std::uint64_t> even, odd;
-  for (std::uint64_t i = 0; i < grid->size(); ++i) {
-    (i % 2 == 0 ? even : odd).push_back(i);
+  PrepStore store;
+  auto batch = run_campaign_shards(plan, JobPhase::kRowHammer,
+                                   {0, grid->size()}, &store);
+  ASSERT_FALSE(batch.has_value());
+  EXPECT_EQ(batch.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(store.lookups, 0);  // nothing was resolved, so nothing ran
+}
+
+TEST(CampaignShardRun, IndicesComeBackSortedAndDeduplicated) {
+  const CampaignPlan plan = small_plan();
+  auto grid = compile_campaign_shards(plan, JobPhase::kTrcd);
+  ASSERT_TRUE(grid.has_value());
+  ASSERT_GT(grid->size(), 4u);
+
+  auto shuffled =
+      run_campaign_shards(plan, JobPhase::kTrcd, {4, 1, 4, 0, 1}, nullptr);
+  ASSERT_TRUE(shuffled.has_value()) << shuffled.error().to_string();
+  auto ordered = run_campaign_shards(plan, JobPhase::kTrcd, {0, 1, 4}, nullptr);
+  ASSERT_TRUE(ordered.has_value()) << ordered.error().to_string();
+
+  ASSERT_EQ(shuffled->shards.size(), 3u);
+  ASSERT_EQ(ordered->shards.size(), 3u);
+  const std::uint64_t expected[] = {0, 1, 4};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const ShardCoord& cell = (*grid)[expected[i]];
+    const ManifestShard& shard = shuffled->shards[i];
+    EXPECT_EQ(shard.module, cell.module);
+    EXPECT_EQ(shard.point, cell.point);
+    EXPECT_EQ(shard.row_begin, cell.row_begin);
+    EXPECT_EQ(shard.row_end, cell.row_end);
+    EXPECT_EQ(shard_bytes(shard, JobPhase::kTrcd),
+              shard_bytes(ordered->shards[i], JobPhase::kTrcd));
   }
-  for (const auto* subset : {&even, &odd}) {
-    auto batch =
-        run_campaign_shards(plan, JobPhase::kRowHammer, *subset, nullptr);
-    ASSERT_TRUE(batch.has_value()) << batch.error().to_string();
-    for (const ManifestShard& shard : batch->shards) {
-      EXPECT_TRUE(shard.counted);  // disjoint leases always compute fresh
-    }
-    auto merged = merge_campaign_shards(manifest, *grid, manifest.plan_hash,
-                                        batch->wcdp, batch->shards);
-    ASSERT_TRUE(merged.has_value()) << merged.error().to_string();
-    EXPECT_EQ(merged->accepted, subset->size());
+}
+
+TEST(CampaignShardRun, NeverTouchesThePlanManifestPath) {
+  CampaignPlan plan = small_plan();
+  plan.manifest_path = temp_path("subset_untouched");
+  std::remove(plan.manifest_path.c_str());
+
+  auto batch = run_campaign_shards(plan, JobPhase::kRowHammer, {0, 1}, nullptr);
+  ASSERT_TRUE(batch.has_value()) << batch.error().to_string();
+  EXPECT_FALSE(file_exists(plan.manifest_path));
+  EXPECT_FALSE(file_exists(campaign_ledger_path(plan.manifest_path)));
+
+  // Nor is a file already there read: not even a broken one fails the run,
+  // and it is left as it was.
+  {
+    std::FILE* f = std::fopen(plan.manifest_path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("not a manifest\n", f);
+    std::fclose(f);
   }
-  ASSERT_EQ(manifest.shards.size(), grid->size());
+  auto again = run_campaign_shards(plan, JobPhase::kRowHammer, {0, 1}, nullptr);
+  ASSERT_TRUE(again.has_value()) << again.error().to_string();
+  char buf[64] = {};
+  std::FILE* f = std::fopen(plan.manifest_path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  const std::size_t n = std::fread(buf, 1, sizeof buf - 1, f);
+  std::fclose(f);
+  std::remove(plan.manifest_path.c_str());
+  EXPECT_EQ(std::string(buf, n), "not a manifest\n");
+}
 
-  // Resuming the engine over the merged manifest (zero fresh compute) must
-  // reproduce the single-host grids byte for byte.
-  const std::string path = temp_path("merged");
-  ASSERT_TRUE(write_campaign_manifest(path, manifest));
-  CampaignPlan resume_plan = small_plan();
-  resume_plan.manifest_path = path;
-  CampaignEngine resumed(std::move(resume_plan));
-  auto merged_grids = resumed.run_hammer();
-  ASSERT_TRUE(merged_grids.has_value()) << merged_grids.error().to_string();
-  std::remove(path.c_str());
-  std::remove(campaign_ledger_path(path).c_str());
+TEST(CampaignShardRun, StoreServedPrepIsNotRecordedAgain) {
+  const CampaignPlan plan = small_plan();
+  auto grid = compile_campaign_shards(plan, JobPhase::kRowHammer);
+  ASSERT_TRUE(grid.has_value());
+  std::vector<std::uint64_t> all(grid->size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
 
-  CampaignEngine single(small_plan());
-  auto single_grids = single.run_hammer();
-  ASSERT_TRUE(single_grids.has_value());
-  ASSERT_EQ(merged_grids->size(), single_grids->size());
-  for (std::size_t m = 0; m < single_grids->size(); ++m) {
-    EXPECT_EQ(grid_json((*merged_grids)[m]).str(),
-              grid_json((*single_grids)[m]).str());
+  auto fresh = run_campaign_shards(plan, JobPhase::kRowHammer, all, nullptr);
+  ASSERT_TRUE(fresh.has_value()) << fresh.error().to_string();
+  ASSERT_EQ(fresh->wcdp.size(), plan.modules.size());
+
+  // A store that already holds every prep: no prep session runs, so no
+  // prep record comes back, and the shards are the same bytes.
+  PrepStore store;
+  for (const ManifestWcdp& record : fresh->wcdp) {
+    EXPECT_TRUE(record.counted);
+    store.preps[record.module] = record.wcdp;
+  }
+  auto served = run_campaign_shards(plan, JobPhase::kRowHammer, all, &store);
+  ASSERT_TRUE(served.has_value()) << served.error().to_string();
+  EXPECT_TRUE(served->wcdp.empty());
+  ASSERT_EQ(served->shards.size(), fresh->shards.size());
+  for (std::size_t i = 0; i < served->shards.size(); ++i) {
+    EXPECT_TRUE(served->shards[i].counted);  // the store served no rows
+    EXPECT_EQ(shard_bytes(served->shards[i], JobPhase::kRowHammer),
+              shard_bytes(fresh->shards[i], JobPhase::kRowHammer));
   }
 }
 

@@ -17,7 +17,10 @@ Subcommands:
                             $PERF_ADVISORY -- the workflow sets it from the
                             `perf-regression-ok` PR label). Always renders
                             the full delta table, and appends it to
-                            $GITHUB_STEP_SUMMARY when that is set.
+                            $GITHUB_STEP_SUMMARY when that is set. Warns
+                            (advisory only) when BASELINE has no "host"
+                            block, and prints both core counts when the
+                            two snapshots ran on different core counts.
   scaling CURRENT           Ratio check of two benchmarks in one snapshot:
                             by default the jobs=2 study sweep must not be
                             slower than jobs=1 (the whole point of sharded
@@ -27,7 +30,8 @@ Subcommands:
                             exceeds --tolerance (default 1.0).
   self-test                 Unit check for the gate itself: a synthetic >15%
                             regression must trip `compare`, a borderline one
-                            must not, and `scaling` must cut both ways.
+                            must not, `scaling` must cut both ways, and
+                            the host warnings must fire when they should.
                             Run in CI so a broken gate cannot pass silently.
 """
 
@@ -50,6 +54,30 @@ def load_medians(path):
     for bench in data.get("benchmarks", []):
         samples.setdefault(bench["name"], []).append(float(bench["ns_per_op"]))
     return {name: statistics.median(vals) for name, vals in samples.items()}
+
+
+def load_host(path):
+    """The snapshot's "host" block (core counts), or None if it has none."""
+    with open(path) as f:
+        return json.load(f).get("host")
+
+
+def host_notes(baseline_path, base_host, current_host):
+    """Advisory lines on how comparable the two snapshots' hosts are."""
+    if not base_host:
+        return [
+            f"::warning::{baseline_path} has no host block, so its ns/op "
+            "cannot be read against a core count; re-record it from a "
+            "snapshot that carries its host"
+        ]
+    base_cores = base_host.get("nproc")
+    current_cores = (current_host or {}).get("nproc")
+    if current_cores is not None and base_cores != current_cores:
+        return [
+            f"::warning::core counts differ: baseline nproc {base_cores}, "
+            f"current nproc {current_cores}"
+        ]
+    return []
 
 
 def compare_medians(base, current, threshold):
@@ -112,6 +140,10 @@ def cmd_compare(args):
                 f"{args.current} -- check the --benchmark_filter"
             )
         return 2
+    for note in host_notes(
+        args.baseline, load_host(args.baseline), load_host(args.current)
+    ):
+        print(note)
     table, regressions = compare_medians(base, current, args.threshold)
     advisory = advisory_requested(args)
     mode = "advisory (perf-regression-ok)" if advisory else "gating"
@@ -191,6 +223,20 @@ def cmd_self_test(_args):
         return 1
     if missing_required(current, ["BM_StudySweep"]) != ["BM_StudySweep"]:
         print("self-test FAILED: absent prefix not reported")
+        return 1
+    # Host notes: a hostless baseline is named; differing core counts give
+    # one line with both; matching hosts give nothing.
+    notes = host_notes("base.json", None, {"nproc": 4})
+    if len(notes) != 1 or "base.json" not in notes[0]:
+        print(f"self-test FAILED: hostless baseline not flagged: {notes}")
+        return 1
+    notes = host_notes("base.json", {"nproc": 4}, {"nproc": 16})
+    counts = ("baseline nproc 4,", "current nproc 16")
+    if len(notes) != 1 or not all(c in notes[0] for c in counts):
+        print(f"self-test FAILED: core-count mismatch not reported: {notes}")
+        return 1
+    if host_notes("base.json", {"nproc": 4}, {"nproc": 4}):
+        print("self-test FAILED: matching hosts wrongly flagged")
         return 1
     # Median reduction: {90, 300, 100} -> 100, not the 163 mean.
     import tempfile
