@@ -1,6 +1,7 @@
 #include "common/simd.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -31,6 +32,24 @@ void hash_index_walk_scalar(std::uint64_t prefix, std::uint64_t tag,
     const std::uint64_t inner = mix64(prefix ^ mix64(index0 + i));
     out[i] = mix64(inner ^ mtag);
   }
+}
+
+std::uint64_t xor_popcount_scalar(const std::uint8_t* a, const std::uint8_t* b,
+                                  std::size_t n) {
+  std::uint64_t bits = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t wa = 0;
+    std::uint64_t wb = 0;
+    std::memcpy(&wa, a + i, 8);
+    std::memcpy(&wb, b + i, 8);
+    bits += static_cast<std::uint64_t>(std::popcount(wa ^ wb));
+  }
+  for (; i < n; ++i) {
+    bits += static_cast<std::uint64_t>(
+        std::popcount(static_cast<unsigned>(a[i] ^ b[i])));
+  }
+  return bits;
 }
 
 #if VPP_SIMD_HAVE_AVX2
@@ -79,6 +98,36 @@ hash_index_walk_avx2(std::uint64_t prefix, std::uint64_t tag,
     idx = _mm256_add_epi64(idx, step);
   }
   if (i < n) hash_index_walk_scalar(prefix, tag, index0 + i, n - i, out + i);
+}
+
+// Nibble-table popcount (vpshufb looks up both nibbles of every byte), then
+// vpsadbw sums each 8-byte group into a 64-bit lane: 32 bytes per step, and
+// no lane can overflow.
+__attribute__((target("avx2"))) std::uint64_t
+xor_popcount_avx2(const std::uint8_t* a, const std::uint8_t* b,
+                  std::size_t n) {
+  const __m256i nibble_bits = _mm256_setr_epi8(
+      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
+      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i low_nibble = _mm256_set1_epi8(0x0f);
+  __m256i sums = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i x = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
+    const __m256i lo = _mm256_and_si256(x, low_nibble);
+    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(x, 4), low_nibble);
+    const __m256i per_byte =
+        _mm256_add_epi8(_mm256_shuffle_epi8(nibble_bits, lo),
+                        _mm256_shuffle_epi8(nibble_bits, hi));
+    sums = _mm256_add_epi64(
+        sums, _mm256_sad_epu8(per_byte, _mm256_setzero_si256()));
+  }
+  std::uint64_t lanes[4];
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), sums);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
+         xor_popcount_scalar(a + i, b + i, n - i);
 }
 
 #endif  // VPP_SIMD_HAVE_AVX2
@@ -164,6 +213,14 @@ void uniform_index_walk(std::uint64_t prefix, std::uint64_t tag,
     }
     done += take;
   }
+}
+
+std::uint64_t xor_popcount(const std::uint8_t* a, const std::uint8_t* b,
+                           std::size_t n) {
+#if VPP_SIMD_HAVE_AVX2
+  if (resolved_impl() == Impl::kAvx2) return xor_popcount_avx2(a, b, n);
+#endif
+  return xor_popcount_scalar(a, b, n);
 }
 
 }  // namespace vppstudy::common::simd

@@ -16,6 +16,10 @@
 // identical output by construction: the AVX2 kernel performs the same adds,
 // shifts, xors, and 64-bit multiplies per lane, just four lanes at a time.
 //
+// The same dispatch serves xor_popcount, the harness's flip counter: the
+// number of bits that differ between two byte images, 256 bits per AVX2 step
+// (nibble-table popcount) instead of one byte at a time.
+//
 // Dispatch is decided once, on first use, from CPU detection; it can be
 // overridden for tests via force_impl() or the VPP_SIMD environment variable
 // ("scalar" or "avx2"). Overrides are not thread-safe -- install them before
@@ -57,5 +61,11 @@ void hash_index_walk(std::uint64_t prefix, std::uint64_t tag,
 /// Same walk, converted through to_unit_double: uniform draws in [0, 1).
 void uniform_index_walk(std::uint64_t prefix, std::uint64_t tag,
                         std::uint64_t index0, std::size_t n, double* out);
+
+/// Number of bits that differ between a[0, n) and b[0, n): the popcount of
+/// a XOR b. Both implementations return the same exact count.
+[[nodiscard]] std::uint64_t xor_popcount(const std::uint8_t* a,
+                                         const std::uint8_t* b,
+                                         std::size_t n);
 
 }  // namespace vppstudy::common::simd

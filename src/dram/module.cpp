@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -508,6 +509,18 @@ common::Expected<Module::ColumnRun> Module::column_run(
   return ColumnRun(*this, bank, phys, bs.activate_time_ns, rs);
 }
 
+bool Module::ColumnRun::trcd_certainly_safe(double now_ns) {
+  Module& m = *module_;
+  const CellPhysics::RowParams& rp =
+      m.cached_row_params(bank_, physical_row_, *row_);
+  RowPhysicsCache& pc = *row_->physics;
+  if (pc.trcd_mean_vpp != m.vpp_v_) {
+    pc.trcd_mean_ns = m.physics_.trcd_row_mean_ns(rp, m.vpp_v_);
+    pc.trcd_mean_vpp = m.vpp_v_;
+  }
+  return m.physics_.trcd_certainly_safe(pc.trcd_mean_ns, now_ns - activate_ns_);
+}
+
 std::array<std::uint8_t, kBytesPerColumn> Module::ColumnRun::read(
     std::uint32_t column, double now_ns) {
   Module& m = *module_;
@@ -523,25 +536,19 @@ std::array<std::uint8_t, kBytesPerColumn> Module::ColumnRun::read(
   // values for those cells (the data in the array is unaffected -- the row
   // buffer simply had not settled). A small per-read jitter models the
   // analog noise of marginal timing.
-  const double trcd_ns = now_ns - activate_ns_;
-  const CellPhysics::RowParams& rp = m.cached_row_params(bank_, phys, rs);
-  RowPhysicsCache& pc = *rs.physics;
-  if (pc.trcd_mean_vpp != m.vpp_v_) {
-    pc.trcd_mean_ns = m.physics_.trcd_row_mean_ns(rp, m.vpp_v_);
-    pc.trcd_mean_vpp = m.vpp_v_;
-  }
+  //
   // The jitter draw position is consumed whether or not the draw's value can
   // matter (keeping the noise-counter sequence identical); the draw and the
   // failure evaluation are skipped when no representable jitter could make
   // the read marginal (see CellPhysics::trcd_certainly_safe).
   ++m.read_noise_counter_;
-  double p_fail = 0.0;
-  if (!m.physics_.trcd_certainly_safe(pc.trcd_mean_ns, trcd_ns)) {
-    const double jitter =
-        0.04 * common::normal_at({m.profile_.seed ^ m.noise_stream_,
-                                  m.read_noise_counter_, 0x7eadULL});
-    p_fail = m.physics_.trcd_fail_probability(rp, trcd_ns + jitter, m.vpp_v_);
-  }
+  if (trcd_certainly_safe(now_ns)) return out;
+  const double trcd_ns = now_ns - activate_ns_;
+  const double jitter =
+      0.04 * common::normal_at({m.profile_.seed ^ m.noise_stream_,
+                                m.read_noise_counter_, 0x7eadULL});
+  const double p_fail = m.physics_.trcd_fail_probability(
+      m.cached_row_params(bank_, phys, rs), trcd_ns + jitter, m.vpp_v_);
   if (p_fail > kNegligibleCellProbability) {
     const double threshold = 1.0 - p_fail;
     for (std::uint32_t i = 0; i < kBytesPerColumn * 8; ++i) {
@@ -561,6 +568,35 @@ void Module::ColumnRun::write(
   std::copy(data.begin(), data.end(),
             row_->data.begin() + column * kBytesPerColumn);
   ++module_->stats_.writes;
+}
+
+void Module::ColumnRun::read_columns(std::uint32_t first_column,
+                                     double first_ns, double spacing_ns,
+                                     std::span<std::uint8_t> out) {
+  const std::size_t n = out.size() / kBytesPerColumn;
+  if (n == 0) return;
+  if (trcd_certainly_safe(first_ns)) {
+    std::memcpy(out.data(), row_->data.data() + first_column * kBytesPerColumn,
+                n * kBytesPerColumn);
+    module_->read_noise_counter_ += n;
+    module_->stats_.reads += n;
+    return;
+  }
+  double now = first_ns;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) now += spacing_ns;
+    const auto word = read(first_column + static_cast<std::uint32_t>(i), now);
+    std::copy(word.begin(), word.end(), out.begin() + i * kBytesPerColumn);
+  }
+}
+
+void Module::ColumnRun::write_columns(std::uint32_t first_column,
+                                      std::span<const std::uint8_t> data) {
+  const std::size_t n = data.size() / kBytesPerColumn;
+  if (n == 0) return;
+  std::memcpy(row_->data.data() + first_column * kBytesPerColumn, data.data(),
+              n * kBytesPerColumn);
+  module_->stats_.writes += n;
 }
 
 common::Expected<std::array<std::uint8_t, kBytesPerColumn>> Module::read(

@@ -149,6 +149,10 @@ class Module {
   /// calls below re-check nothing. read()/write() are one-column runs: this
   /// is the only per-column implementation. A run stays valid until the
   /// next non-column command or rail change on the module.
+  ///
+  /// read_columns()/write_columns() are the bulk forms for a uniform burst
+  /// of consecutive columns: same data, stats and noise-counter steps as
+  /// the per-column calls, in one copy when nothing can differ per column.
   class ColumnRun {
    public:
     /// One RD burst at `now_ns` (tRCD-marginal reads return corrupted data).
@@ -156,8 +160,25 @@ class Module {
         std::uint32_t column, double now_ns);
     void write(std::uint32_t column,
                std::span<const std::uint8_t, kBytesPerColumn> data);
+    /// RD of out.size() / kBytesPerColumn consecutive columns from
+    /// `first_column` into `out`; the first issues at `first_ns`, each later
+    /// one `spacing_ns` after its predecessor (added one step at a time, as
+    /// the host clock advances). tRCD only grows along the burst and
+    /// trcd_certainly_safe is monotone in it, so when the first read is
+    /// certainly safe the whole burst is one copy; otherwise each column is
+    /// read() at its issue time.
+    void read_columns(std::uint32_t first_column, double first_ns,
+                      double spacing_ns, std::span<std::uint8_t> out);
+    /// WR of data.size() / kBytesPerColumn consecutive columns from
+    /// `first_column`: one copy.
+    void write_columns(std::uint32_t first_column,
+                       std::span<const std::uint8_t> data);
 
    private:
+    /// Whether no cell can fail a read at `now_ns` (refreshes the row's
+    /// cached tRCD mean when the rail moved).
+    [[nodiscard]] bool trcd_certainly_safe(double now_ns);
+
     friend class Module;
     ColumnRun(Module& module, std::uint32_t bank, std::uint32_t physical_row,
               double activate_ns, RowState& row)

@@ -1,7 +1,9 @@
 #include "harness/experiment.hpp"
 
-#include <bit>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+
+#include "common/simd.hpp"
 
 namespace vppstudy::harness {
 
@@ -27,13 +29,16 @@ std::vector<std::uint32_t> RowSampling::sample(
 
 std::uint64_t count_bit_flips(std::span<const std::uint8_t> expected,
                               std::span<const std::uint8_t> observed) {
-  assert(expected.size() == observed.size());
-  std::uint64_t flips = 0;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    flips += static_cast<std::uint64_t>(
-        std::popcount(static_cast<unsigned>(expected[i] ^ observed[i])));
+  // Checked in every build: the kernel reads both spans to the same length.
+  if (expected.size() != observed.size()) {
+    std::fprintf(stderr,
+                 "count_bit_flips: images differ in length (%zu vs %zu "
+                 "bytes)\n",
+                 expected.size(), observed.size());
+    std::abort();
   }
-  return flips;
+  return common::simd::xor_popcount(expected.data(), observed.data(),
+                                    expected.size());
 }
 
 double bit_error_rate(std::span<const std::uint8_t> expected,

@@ -31,7 +31,9 @@ struct RowSampling {
       const dram::RowMapping& mapping) const;
 };
 
-/// Count bit flips between an expected and an observed row image.
+/// Count bit flips between an expected and an observed row image, a word at
+/// a time (common::simd::xor_popcount). The images must be the same length:
+/// a mismatch is a caller bug and aborts in every build.
 [[nodiscard]] std::uint64_t count_bit_flips(
     std::span<const std::uint8_t> expected,
     std::span<const std::uint8_t> observed);

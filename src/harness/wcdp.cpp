@@ -1,5 +1,7 @@
 #include "harness/wcdp.hpp"
 
+#include <span>
+
 #include "harness/experiment.hpp"
 #include "harness/rowhammer_test.hpp"
 
@@ -112,11 +114,10 @@ common::Expected<DataPattern> find_wcdp_trcd(softmc::Session& session,
       if (!word) {
         return std::move(word).error().with_context("wcdp trcd probe");
       }
-      for (std::uint32_t i = 0; i < dram::kBytesPerColumn; ++i) {
-        errors += static_cast<std::uint64_t>(
-            __builtin_popcount(static_cast<unsigned>(
-                (*word)[i] ^ image[c * dram::kBytesPerColumn + i])));
-      }
+      errors += count_bit_flips(
+          std::span(image).subspan(c * dram::kBytesPerColumn,
+                                   dram::kBytesPerColumn),
+          *word);
     }
     if (errors > best_errors) {
       best_errors = errors;

@@ -34,17 +34,16 @@ std::string CommandCounts::summary() const {
   return buf;
 }
 
-void SessionCounters::on_column_run(std::span<const Instruction> run,
+void SessionCounters::on_column_run(const ColumnRunView& run,
                                     double start_ns) {
-  if (run.empty()) return;
+  if (run.size() == 0) return;
   double now = start_ns;
-  for (const Instruction& inst : run) {
+  for (std::size_t i = 0; i < run.size(); ++i) {
     const double from = now;
-    now += inst.slots_after_previous * common::kCommandSlotNs;
+    now += run.slots(i) * common::kCommandSlotNs;
     counts_.simulated_ns += now - from;
   }
-  (run.front().kind == dram::CommandKind::kRead ? counts_.reads
-                                                 : counts_.writes) +=
+  (run.kind() == dram::CommandKind::kRead ? counts_.reads : counts_.writes) +=
       run.size();
 }
 

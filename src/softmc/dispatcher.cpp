@@ -157,24 +157,35 @@ bool CommandDispatcher::issue_one(const Instruction& inst,
   return true;
 }
 
-CommandDispatcher::RunOutcome CommandDispatcher::issue_run(
-    std::span<const Instruction> run, ExecutionResult& result,
-    double& clock_ns) {
-  const Instruction& first = run.front();
-  if (checker_.flags_column(
-          first.bank,
-          clock_ns + first.slots_after_previous * common::kCommandSlotNs)) {
+CommandDispatcher::RunOutcome CommandDispatcher::admit_run(
+    const ColumnRunView& run, double clock_ns,
+    std::optional<dram::Module::ColumnRun>& device) {
+  if (checker_.flags_column(run.bank(),
+                            clock_ns + run.slots(0) * common::kCommandSlotNs)) {
     return RunOutcome::kFlagged;
   }
   std::uint32_t max_column = 0;
-  for (const Instruction& inst : run) {
-    max_column = std::max(max_column, inst.column);
+  if (const ColumnBurst* burst = run.burst()) {
+    max_column = burst->first_column + burst->count - 1;
+  } else {
+    for (const Instruction& inst : run.instructions()) {
+      max_column = std::max(max_column, inst.column);
+    }
   }
-  auto device = module_.column_run(first.kind, first.bank, max_column);
-  if (!device) return RunOutcome::kRejected;
-
+  auto opened = module_.column_run(run.kind(), run.bank(), max_column);
+  if (!opened) return RunOutcome::kRejected;
+  device.emplace(*opened);
   for (SessionObserver* obs : observers_) obs->on_column_run(run, clock_ns);
-  const bool reading = first.kind == dram::CommandKind::kRead;
+  return RunOutcome::kIssued;
+}
+
+CommandDispatcher::RunOutcome CommandDispatcher::issue_run(
+    std::span<const Instruction> run, ExecutionResult& result,
+    double& clock_ns) {
+  std::optional<dram::Module::ColumnRun> device;
+  const RunOutcome outcome = admit_run(ColumnRunView(run), clock_ns, device);
+  if (outcome != RunOutcome::kIssued) return outcome;
+  const bool reading = run.front().kind == dram::CommandKind::kRead;
   for (const Instruction& inst : run) {
     clock_ns += inst.slots_after_previous * common::kCommandSlotNs;
     if (reading) {
@@ -182,6 +193,28 @@ CommandDispatcher::RunOutcome CommandDispatcher::issue_run(
     } else {
       device->write(inst.column, inst.write_data);
     }
+  }
+  return RunOutcome::kIssued;
+}
+
+CommandDispatcher::RunOutcome CommandDispatcher::issue_burst(
+    const ColumnBurst& burst, std::span<std::uint8_t> reads,
+    double& clock_ns) {
+  std::optional<dram::Module::ColumnRun> device;
+  const RunOutcome outcome =
+      admit_run(ColumnRunView(burst), clock_ns, device);
+  if (outcome != RunOutcome::kIssued) return outcome;
+  clock_ns += burst.first_slots * common::kCommandSlotNs;
+  const double first_ns = clock_ns;
+  for (std::uint32_t i = 1; i < burst.count; ++i) {
+    clock_ns += burst.spacing_slots * common::kCommandSlotNs;
+  }
+  if (burst.kind == dram::CommandKind::kRead) {
+    device->read_columns(burst.first_column, first_ns,
+                         burst.spacing_slots * common::kCommandSlotNs,
+                         reads.first(burst.count * dram::kBytesPerColumn));
+  } else {
+    device->write_columns(burst.first_column, burst.write_data);
   }
   return RunOutcome::kIssued;
 }
@@ -261,6 +294,38 @@ ExecutionResult CommandDispatcher::execute(const Program& program,
   }
   result.timing_violations = checker_.violations().size() - violations_before;
   return result;
+}
+
+std::optional<Status> CommandDispatcher::execute_transfer(
+    const RowTransfer& transfer, std::span<std::uint8_t> reads,
+    double& clock_ns) {
+  // The ACT issues at act_ns and the checker then holds it as the bank's
+  // last ACT, so the burst's first command is flagged exactly when this
+  // test (flags_column's, on the same clock sums) says so.
+  const double act_ns =
+      clock_ns + transfer.act.slots_after_previous * common::kCommandSlotNs;
+  const double first_ns =
+      act_ns + transfer.burst.first_slots * common::kCommandSlotNs;
+  if (interceptor_ != nullptr || checker_.violates_trcd(first_ns - act_ns)) {
+    return std::nullopt;
+  }
+  ExecutionResult result;
+  if (!dispatch_one(transfer.act, result, clock_ns)) return result.status;
+  if (issue_burst(transfer.burst, reads, clock_ns) != RunOutcome::kIssued) {
+    // Only reachable when something moved the device between the ACT and
+    // the burst; go command by command so the error surfaces at its command.
+    for (std::size_t i = 0; i < transfer.burst.count; ++i) {
+      if (!dispatch_one(transfer.burst.instruction(i), result, clock_ns)) {
+        return result.status;
+      }
+    }
+    for (std::size_t c = 0; c < result.reads.size(); ++c) {
+      std::copy(result.reads[c].begin(), result.reads[c].end(),
+                reads.begin() + c * dram::kBytesPerColumn);
+    }
+  }
+  dispatch_one(transfer.pre, result, clock_ns);
+  return result.status;
 }
 
 }  // namespace vppstudy::softmc

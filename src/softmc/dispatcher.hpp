@@ -16,10 +16,19 @@
 // per-command loop when an interceptor is attached, when the device would
 // reject the run, and for the leading commands of a run the timing checker
 // would flag, so errors and violations surface exactly as they did.
+//
+// Row transfers: the session's init_row/read_row hand over a RowTransfer,
+// not a Program. execute_transfer issues its ACT and PRE like any command
+// and its ColumnBurst as one run whose device work is a bulk copy
+// (Module::ColumnRun::read_columns/write_columns), again with the same clock
+// arithmetic and observer callbacks. It declines -- issuing nothing -- when
+// an interceptor is attached or the burst's first command would be flagged,
+// and the session then executes RowOps' per-command Program instead.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -27,6 +36,7 @@
 #include "dram/module.hpp"
 #include "softmc/observer.hpp"
 #include "softmc/program.hpp"
+#include "softmc/row_ops.hpp"
 
 namespace vppstudy::softmc {
 
@@ -68,6 +78,17 @@ class CommandDispatcher {
   [[nodiscard]] ExecutionResult execute(const Program& program,
                                         double& clock_ns);
 
+  /// Execute `transfer` with its burst in bulk: the commands, clock
+  /// arithmetic, observer callbacks and device effects of executing
+  /// RowOps::program(transfer), with a read burst's data written straight
+  /// into `reads` (burst.count columns). Returns nullopt, having issued
+  /// nothing, when the transfer must go command by command: an interceptor
+  /// is attached, or the timing checker would flag the burst's first
+  /// command.
+  [[nodiscard]] std::optional<common::Status> execute_transfer(
+      const RowTransfer& transfer, std::span<std::uint8_t> reads,
+      double& clock_ns);
+
  private:
   void advance(double& clock_ns, double ns);
   void notify_command(const Instruction& inst, double now_ns);
@@ -83,11 +104,20 @@ class CommandDispatcher {
   bool issue_one(const Instruction& inst, ExecutionResult& result,
                  double& clock_ns);
   enum class RunOutcome : std::uint8_t { kIssued, kFlagged, kRejected };
-  /// Issue a column run in bulk. kFlagged: the checker would flag its first
-  /// command; kRejected: the device would reject some command. Nothing is
-  /// issued unless the outcome is kIssued.
+  /// Open a column run: kFlagged -- the checker would flag its first
+  /// command; kRejected -- the device would reject some command. Nothing is
+  /// issued unless the outcome is kIssued, in which case every observer has
+  /// seen the run and `device` is open for its device work.
+  RunOutcome admit_run(const ColumnRunView& run, double clock_ns,
+                       std::optional<dram::Module::ColumnRun>& device);
+  /// Issue a span of program instructions as one run, per-column device
+  /// work; outcomes as admit_run.
   RunOutcome issue_run(std::span<const Instruction> run,
                        ExecutionResult& result, double& clock_ns);
+  /// Issue a uniform burst as one run, bulk device work; read data lands in
+  /// `reads`. Outcomes as admit_run.
+  RunOutcome issue_burst(const ColumnBurst& burst,
+                         std::span<std::uint8_t> reads, double& clock_ns);
 
   dram::Module& module_;
   const TimingChecker& checker_;

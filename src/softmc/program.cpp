@@ -1,10 +1,25 @@
 #include "softmc/program.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/units.hpp"
 
 namespace vppstudy::softmc {
+
+Instruction ColumnBurst::instruction(std::size_t i) const noexcept {
+  Instruction inst;
+  inst.kind = kind;
+  inst.bank = bank;
+  inst.column = first_column + static_cast<std::uint32_t>(i);
+  inst.slots_after_previous = slots(i);
+  if (kind == dram::CommandKind::kWrite) {
+    std::memcpy(inst.write_data.data(),
+                write_data.data() + i * dram::kBytesPerColumn,
+                dram::kBytesPerColumn);
+  }
+  return inst;
+}
 
 Program::Program(dram::Ddr4Timing timing) : timing_(timing) {}
 
@@ -40,29 +55,23 @@ Program& Program::pre(std::uint32_t bank, double delay_ns) {
 
 Program& Program::rd(std::uint32_t bank, std::uint32_t column,
                      double delay_ns) {
-  // Built in place: RD/WR are the per-column hot path of row-granularity
-  // programs (1024 of them per row), so skip push()'s extra 72-byte copy.
-  Instruction& i = instructions_.emplace_back();
+  Instruction i;
   i.kind = dram::CommandKind::kRead;
   i.bank = bank;
   i.column = column;
-  i.slots_after_previous =
-      slots_for(delay_ns < 0.0 ? timing_.t_rcd_ns : delay_ns);
   ++read_count_;
-  return *this;
+  return push(i, timing_.t_rcd_ns, delay_ns);
 }
 
 Program& Program::wr(std::uint32_t bank, std::uint32_t column,
                      std::array<std::uint8_t, dram::kBytesPerColumn> data,
                      double delay_ns) {
-  Instruction& i = instructions_.emplace_back();
+  Instruction i;
   i.kind = dram::CommandKind::kWrite;
   i.bank = bank;
   i.column = column;
   i.write_data = data;
-  i.slots_after_previous =
-      slots_for(delay_ns < 0.0 ? timing_.t_rcd_ns : delay_ns);
-  return *this;
+  return push(i, timing_.t_rcd_ns, delay_ns);
 }
 
 Program& Program::ref(double delay_ns) {

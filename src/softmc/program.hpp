@@ -9,6 +9,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dram/timing.hpp"
@@ -33,6 +34,28 @@ struct Instruction {
   std::uint64_t loop_count = 0;
   std::uint32_t loop_row_b = 0;
   double loop_act_to_act_ns = 0.0;
+};
+
+/// A uniform column burst: `count` RD (or WR) commands to consecutive
+/// columns of one bank's open row, starting at `first_column`. The first
+/// issues `first_slots` command slots after the preceding command, each
+/// later one `spacing_slots` after its predecessor. A WR burst's payload is
+/// `count` columns of bytes in column order (borrowed, not owned). RowOps
+/// describes a row write or read as ACT + one burst + PRE; instruction(i)
+/// is the burst's i-th command exactly as a Program would hold it.
+struct ColumnBurst {
+  dram::CommandKind kind = dram::CommandKind::kRead;
+  std::uint32_t bank = 0;
+  std::uint32_t first_column = 0;
+  std::uint32_t count = 0;
+  std::uint32_t first_slots = 1;
+  std::uint32_t spacing_slots = 1;
+  std::span<const std::uint8_t> write_data;
+
+  [[nodiscard]] std::uint32_t slots(std::size_t i) const noexcept {
+    return i == 0 ? first_slots : spacing_slots;
+  }
+  [[nodiscard]] Instruction instruction(std::size_t i) const noexcept;
 };
 
 /// Fluent builder for instruction sequences.
@@ -65,7 +88,8 @@ class Program {
   /// extra_wait_ns are taken as-is, with no nominal-timing defaults. This is
   /// the trace-replay path (softmc/trace_replayer): a dump entry's absolute
   /// timestamp is reproduced exactly by computing the wait externally, which
-  /// slots_for()'s round-up would distort.
+  /// slots_for()'s round-up would distort. RowOps expands its row transfers
+  /// through it too.
   Program& push_raw(Instruction inst) {
     if (inst.kind == dram::CommandKind::kRead) ++read_count_;
     instructions_.push_back(inst);

@@ -1,16 +1,15 @@
 #include "softmc/row_ops.hpp"
 
 #include <algorithm>
-#include <array>
 
 namespace vppstudy::softmc {
 
 using common::Error;
 using common::ErrorCode;
 
-common::Expected<Program> RowOps::init_row(
+common::Expected<RowTransfer> RowOps::row_write(
     std::uint32_t bank, std::uint32_t row,
-    const std::vector<std::uint8_t>& image) const {
+    std::span<const std::uint8_t> image) const {
   if (image.size() != dram::kBytesPerRow) {
     return Error{ErrorCode::kBadRowImage,
                  "row image must be exactly one row (" +
@@ -18,33 +17,57 @@ common::Expected<Program> RowOps::init_row(
                      std::to_string(image.size())}
         .with_bank_row(static_cast<std::int32_t>(bank), row);
   }
-  Program p(timing_);
-  p.reserve(dram::kColumnsPerRow + 2);
-  p.act(bank, row);
   // Burst writes back-to-back at 4-clock column spacing.
-  const double spacing = column_spacing_ns();
-  for (std::uint32_t c = 0; c < dram::kColumnsPerRow; ++c) {
-    std::array<std::uint8_t, dram::kBytesPerColumn> word{};
-    std::copy_n(image.begin() + c * dram::kBytesPerColumn,
-                dram::kBytesPerColumn, word.begin());
-    p.wr(bank, c, word, c == 0 ? timing_.t_rcd_ns : spacing);
+  RowTransfer t = row_read(bank, row);
+  t.burst.kind = dram::CommandKind::kWrite;
+  t.burst.write_data = image;
+  t.pre.slots_after_previous =
+      Program::slots_for(timing_.t_wr_ns + column_spacing_ns());
+  return t;
+}
+
+RowTransfer RowOps::row_read(std::uint32_t bank, std::uint32_t row,
+                             double trcd_ns) const {
+  RowTransfer t;
+  t.act.kind = dram::CommandKind::kActivate;
+  t.act.bank = bank;
+  t.act.row = row;
+  // A full tRP has elapsed since whatever came before.
+  t.act.slots_after_previous = Program::slots_for(timing_.t_rp_ns);
+  t.burst.kind = dram::CommandKind::kRead;
+  t.burst.bank = bank;
+  t.burst.count = dram::kColumnsPerRow;
+  t.burst.first_slots =
+      Program::slots_for(trcd_ns > 0.0 ? trcd_ns : timing_.t_rcd_ns);
+  t.burst.spacing_slots = Program::slots_for(column_spacing_ns());
+  t.pre.kind = dram::CommandKind::kPrecharge;
+  t.pre.bank = bank;
+  t.pre.slots_after_previous = Program::slots_for(timing_.t_rtp_ns);
+  return t;
+}
+
+Program RowOps::program(const RowTransfer& transfer) const {
+  Program p(timing_);
+  p.reserve(transfer.burst.count + 2);
+  p.push_raw(transfer.act);
+  for (std::size_t i = 0; i < transfer.burst.count; ++i) {
+    p.push_raw(transfer.burst.instruction(i));
   }
-  p.pre(bank, timing_.t_wr_ns + spacing);
+  p.push_raw(transfer.pre);
   return p;
+}
+
+common::Expected<Program> RowOps::init_row(
+    std::uint32_t bank, std::uint32_t row,
+    const std::vector<std::uint8_t>& image) const {
+  auto transfer = row_write(bank, row, image);
+  if (!transfer) return std::move(transfer).error();
+  return program(*transfer);
 }
 
 Program RowOps::read_row(std::uint32_t bank, std::uint32_t row,
                          double trcd_ns) const {
-  Program p(timing_);
-  p.reserve(dram::kColumnsPerRow + 2);
-  p.act(bank, row);
-  const double first_delay = trcd_ns > 0.0 ? trcd_ns : timing_.t_rcd_ns;
-  const double spacing = column_spacing_ns();
-  for (std::uint32_t c = 0; c < dram::kColumnsPerRow; ++c) {
-    p.rd(bank, c, c == 0 ? first_delay : spacing);
-  }
-  p.pre(bank, timing_.t_rtp_ns);
-  return p;
+  return program(row_read(bank, row, trcd_ns));
 }
 
 Program RowOps::read_column(std::uint32_t bank, std::uint32_t row,

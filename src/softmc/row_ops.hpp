@@ -3,9 +3,16 @@
 // hammer_double_sided / wait_ms). One place owns the burst spacing and
 // default-latency arithmetic, so the harness and the session can never
 // drift apart on how a "read the whole row" program is constructed.
+//
+// A whole-row write or read is described once, as a RowTransfer (ACT, one
+// uniform ColumnBurst, PRE). The session issues that descriptor with the
+// burst in bulk; init_row()/read_row() expand the same descriptor into the
+// per-command Program, so both paths take their commands and slot counts
+// from row_write()/row_read().
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/expected.hpp"
@@ -14,6 +21,14 @@
 #include "softmc/program.hpp"
 
 namespace vppstudy::softmc {
+
+/// ACT, one uniform column burst over the whole row, PRE. A write's burst
+/// borrows the caller's row image.
+struct RowTransfer {
+  Instruction act;
+  ColumnBurst burst;
+  Instruction pre;
+};
 
 class RowOps {
  public:
@@ -30,11 +45,23 @@ class RowOps {
 
   /// ACT + kColumnsPerRow WR + PRE with nominal timing. Fails with
   /// kBadRowImage when `image` is not exactly one row.
+  [[nodiscard]] common::Expected<RowTransfer> row_write(
+      std::uint32_t bank, std::uint32_t row,
+      std::span<const std::uint8_t> image) const;
+
+  /// ACT + kColumnsPerRow RD + PRE. `trcd_ns <= 0` uses the nominal tRCD.
+  [[nodiscard]] RowTransfer row_read(std::uint32_t bank, std::uint32_t row,
+                                     double trcd_ns = -1.0) const;
+
+  /// `transfer` as a per-command Program (one instruction per command).
+  [[nodiscard]] Program program(const RowTransfer& transfer) const;
+
+  /// program(row_write(...)).
   [[nodiscard]] common::Expected<Program> init_row(
       std::uint32_t bank, std::uint32_t row,
       const std::vector<std::uint8_t>& image) const;
 
-  /// ACT + kColumnsPerRow RD + PRE. `trcd_ns <= 0` uses the nominal tRCD.
+  /// program(row_read(...)).
   [[nodiscard]] Program read_row(std::uint32_t bank, std::uint32_t row,
                                  double trcd_ns = -1.0) const;
 

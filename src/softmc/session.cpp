@@ -111,37 +111,50 @@ Status Session::set_temperature(double temp_c) {
 
 Status Session::init_row(std::uint32_t bank, std::uint32_t row,
                          const std::vector<std::uint8_t>& image) {
-  auto program = ops_.init_row(bank, row, image);
-  if (!program) {
-    return std::move(program).error().with_module(module_.profile().name);
+  auto transfer = ops_.row_write(bank, row, image);
+  if (!transfer) {
+    return std::move(transfer).error().with_module(module_.profile().name);
   }
-  return execute(*program).status;
+  if (auto status = dispatcher_.execute_transfer(*transfer, {}, clock_ns_)) {
+    return *std::move(status);
+  }
+  return execute(ops_.program(*transfer)).status;
 }
 
 common::Expected<std::vector<std::uint8_t>> Session::read_row(
     std::uint32_t bank, std::uint32_t row, double trcd_ns) {
-  auto r = execute(ops_.read_row(bank, row, trcd_ns));
-  if (!r.status.ok()) {
-    return std::move(r.status)
+  const RowTransfer transfer = ops_.row_read(bank, row, trcd_ns);
+  std::vector<std::uint8_t> out(dram::kBytesPerRow);
+  Status status;
+  std::size_t bursts = dram::kColumnsPerRow;
+  if (auto bulk = dispatcher_.execute_transfer(transfer, out, clock_ns_)) {
+    status = *std::move(bulk);
+  } else {
+    auto r = execute(ops_.program(transfer));
+    status = std::move(r.status);
+    bursts = r.reads.size();
+    if (bursts == dram::kColumnsPerRow) {
+      for (std::size_t c = 0; c < bursts; ++c) {
+        std::copy(r.reads[c].begin(), r.reads[c].end(),
+                  out.begin() + c * dram::kBytesPerColumn);
+      }
+    }
+  }
+  if (!status.ok()) {
+    return std::move(status)
         .error()
         .with_bank_row(static_cast<std::int32_t>(bank), row)
         .with_context("read_row");
   }
-  if (r.reads.size() != dram::kColumnsPerRow) {
+  if (bursts != dram::kColumnsPerRow) {
     // A short read is a rig fault, not data: zero-filling the tail would
     // masquerade as bit flips in whatever experiment is verifying this row.
     return Error{ErrorCode::kReadUnderrun,
-                 "row readout returned " + std::to_string(r.reads.size()) +
-                     " of " + std::to_string(dram::kColumnsPerRow) +
-                     " read bursts"}
+                 "row readout returned " + std::to_string(bursts) + " of " +
+                     std::to_string(dram::kColumnsPerRow) + " read bursts"}
         .with_module(module_.profile().name)
         .with_bank_row(static_cast<std::int32_t>(bank), row)
         .with_op("RD");
-  }
-  std::vector<std::uint8_t> out(dram::kBytesPerRow);
-  for (std::size_t c = 0; c < r.reads.size(); ++c) {
-    std::copy(r.reads[c].begin(), r.reads[c].end(),
-              out.begin() + c * dram::kBytesPerColumn);
   }
   return out;
 }

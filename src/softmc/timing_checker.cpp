@@ -73,16 +73,16 @@ bool TimingChecker::flags_column(std::uint32_t bank,
                                  double now_ns) const noexcept {
   if (bank >= banks_.size()) return false;
   const BankTimes& bt = banks_[bank];
-  return bt.open && now_ns - bt.last_act < timing_.t_rcd_ns - 1e-9;
+  return bt.open && violates_trcd(now_ns - bt.last_act);
 }
 
-void TimingChecker::on_column_run(std::span<const Instruction> run,
+void TimingChecker::on_column_run(const ColumnRunView& run,
                                   double start_ns) {
   double now = start_ns;
-  for (const Instruction& inst : run) {
-    now += inst.slots_after_previous * common::kCommandSlotNs;
-    if (!flags_column(inst.bank, now)) return;
-    observe(inst.kind, inst.bank, now);
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    now += run.slots(i) * common::kCommandSlotNs;
+    if (!flags_column(run.bank(), now)) return;
+    observe(run.kind(), run.bank(), now);
   }
 }
 

@@ -31,6 +31,11 @@ class TimingChecker : public SessionObserver {
   /// run's first command before issuing the run in bulk.
   [[nodiscard]] bool flags_column(std::uint32_t bank,
                                   double now_ns) const noexcept;
+  /// Whether a RD/WR `since_act_ns` after its row's ACT breaks tRCD -- what
+  /// flags_column tests for an open bank, asked before the ACT issues.
+  [[nodiscard]] bool violates_trcd(double since_act_ns) const noexcept {
+    return since_act_ns < timing_.t_rcd_ns - 1e-9;
+  }
 
   // --- SessionObserver -------------------------------------------------------
   /// Loop instructions are skipped here (their timing is checked when the
@@ -41,8 +46,7 @@ class TimingChecker : public SessionObserver {
   }
   /// Checks the run's flagged prefix (empty for every run the dispatcher
   /// delivers), then stops: later commands issue no earlier.
-  void on_column_run(std::span<const Instruction> run,
-                     double start_ns) override;
+  void on_column_run(const ColumnRunView& run, double start_ns) override;
   void on_hammer(std::uint32_t bank, std::uint64_t count,
                  double act_to_act_ns, double start_ns,
                  double end_ns) override {

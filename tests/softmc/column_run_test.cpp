@@ -1,11 +1,13 @@
 // Column-run dispatch against the per-command loop. Without an interceptor
 // the dispatcher issues each run of consecutive RD (or WR) commands on one
 // bank in bulk (observer on_column_run + one dram::Module::column_run
-// validation); attaching a pass-through interceptor -- a FaultInjector with
-// an empty plan -- forces the per-command loop for every instruction. The
-// two must agree bit for bit on everything a caller can see: read bursts,
-// device stats, command counters (simulated_ns included), the violation
-// log, the trace ring, and each observer's full callback sequence.
+// validation), and Session::init_row/read_row issue their row transfer's
+// column burst as one bulk copy; attaching a pass-through interceptor -- a
+// FaultInjector with an empty plan -- forces the per-command loop for every
+// instruction. The two must agree bit for bit on everything a caller can
+// see: read bursts and row images, returned errors, device stats, command
+// counters (simulated_ns included), the violation log, the trace ring, and
+// each observer's full callback sequence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,8 +44,7 @@ class CallbackLog final : public SessionObserver {
         inst.row, inst.column,
         static_cast<unsigned long long>(inst.loop_count), now_ns);
   }
-  void on_column_run(std::span<const Instruction> run,
-                     double start_ns) override {
+  void on_column_run(const ColumnRunView& run, double start_ns) override {
     ++runs;
     SessionObserver::on_column_run(run, start_ns);
   }
@@ -88,9 +89,22 @@ struct Rig {
   FaultInjector passthrough;
   CallbackLog log;
   std::vector<ExecutionResult> results;
+  /// Session row I/O outcomes: "ok" or the error, and each row read back.
+  std::vector<std::string> outcomes;
+  std::vector<std::vector<std::uint8_t>> rows;
 
   void run(const Program& program) {
     results.push_back(session.execute(program));
+  }
+  void init(std::uint32_t bank, std::uint32_t row,
+            const std::vector<std::uint8_t>& image) {
+    const common::Status st = session.init_row(bank, row, image);
+    outcomes.push_back(st.ok() ? "ok" : st.error().to_string());
+  }
+  void read(std::uint32_t bank, std::uint32_t row, double trcd_ns = -1.0) {
+    auto image = session.read_row(bank, row, trcd_ns);
+    outcomes.push_back(image ? "ok" : image.error().to_string());
+    if (image) rows.push_back(*std::move(image));
   }
 };
 
@@ -119,6 +133,8 @@ void expect_equivalent(const Rig& runs, const Rig& reference) {
       EXPECT_EQ(a.status.error().to_string(), b.status.error().to_string());
     }
   }
+  EXPECT_EQ(runs.outcomes, reference.outcomes);
+  EXPECT_EQ(runs.rows, reference.rows);
   EXPECT_EQ(runs.session.module().stats(), reference.session.module().stats());
   EXPECT_EQ(runs.session.counters(), reference.session.counters());
   EXPECT_EQ(runs.session.clock_ns(), reference.session.clock_ns());
@@ -229,6 +245,117 @@ TEST(ColumnRunEquivalence, VppBelowVppminRejectsTheRun) {
     EXPECT_TRUE(r.reads.empty());
   }
   EXPECT_EQ(runs.session.counters().device_errors, 2u);
+}
+
+TEST(ColumnRunEquivalence, SessionRowIoAtNominalTiming) {
+  Rig runs(false);
+  Rig reference(true);
+  for (Rig* rig : {&runs, &reference}) {
+    for (const std::uint32_t row : {100u, 101u, 2047u}) {
+      const auto image = dram::pattern_row(
+          row % 2 == 0 ? dram::DataPattern::kCheckerAA
+                       : dram::DataPattern::kThickCC,
+          dram::kBytesPerRow);
+      rig->init(0, row, image);
+      ASSERT_TRUE(
+          rig->session.hammer_double_sided(0, row + 1, row + 3, 50000).ok());
+      rig->read(0, row);
+      rig->read(0, row, 30.0);
+    }
+  }
+  expect_equivalent(runs, reference);
+  EXPECT_EQ(runs.rows.size(), 6u);
+  EXPECT_EQ(runs.log.runs, 9u);  // one burst per init_row and per read_row
+  EXPECT_TRUE(runs.session.violations().empty());
+}
+
+TEST(ColumnRunEquivalence, SessionReadRowBelowSpecTrcdGoesPerCommand) {
+  Rig runs(false, "A0");
+  Rig reference(true, "A0");
+  const auto image =
+      dram::pattern_row(dram::DataPattern::kCheckerAA, dram::kBytesPerRow);
+  for (Rig* rig : {&runs, &reference}) {
+    rig->init(1, 50, image);
+    rig->read(1, 50, 3.0);
+    rig->read(1, 50, 7.5);
+  }
+  expect_equivalent(runs, reference);
+  EXPECT_GE(runs.session.violations().size(), 2u);
+  EXPECT_EQ(runs.session.violations().front().rule, "tRCD");
+  EXPECT_GT(runs.session.module().stats().trcd_read_errors, 0u);
+  // Flagged reads take the Program path, whose unflagged tail is a run.
+  EXPECT_EQ(runs.log.runs, 3u);
+}
+
+TEST(ColumnRunEquivalence, SessionLegalTrcdAtLowVppKeepsTheNoiseSequence) {
+  // A0 at 1.7V: a read at nominal tRCD is legal (no violation, so the burst
+  // goes in bulk) but not certainly safe, so the device reads it column by
+  // column; the certainly-safe 30ns read is one copy. Every read draws the
+  // next noise position either way. The marginal 11ns single-column reads
+  // at 2.5V come out differently for different jitter draws, so they
+  // expose any drift in that sequence.
+  Rig runs(false, "A0");
+  Rig reference(true, "A0");
+  const auto image =
+      dram::pattern_row(dram::DataPattern::kCheckerAA, dram::kBytesPerRow);
+  for (Rig* rig : {&runs, &reference}) {
+    ASSERT_TRUE(rig->session.set_vpp(1.7).ok());
+    rig->init(1, 50, image);
+    rig->read(1, 50, 30.0);
+    rig->read(1, 50);
+    rig->read(1, 50, 30.0);
+    ASSERT_TRUE(rig->session.set_vpp(2.5).ok());
+    for (std::uint32_t column = 0; column < 8; ++column) {
+      auto word = rig->session.read_column_with_trcd(1, 50, column, 11.0);
+      ASSERT_TRUE(word.has_value());
+      rig->rows.emplace_back(word->begin(), word->end());
+    }
+  }
+  expect_equivalent(runs, reference);
+  EXPECT_EQ(runs.session.violations().size(), 8u);  // the 11ns reads only
+  EXPECT_EQ(runs.log.runs, 4u);
+  ASSERT_EQ(runs.rows.size(), 11u);
+  EXPECT_EQ(runs.rows[0], image);
+  EXPECT_NE(runs.rows[1], image);
+  EXPECT_EQ(runs.rows[2], image);
+}
+
+TEST(ColumnRunEquivalence, SessionRowIoBelowVppminGivesTheSameError) {
+  Rig runs(false);  // B3: VPPmin 1.6V
+  Rig reference(true);
+  const auto image =
+      dram::pattern_row(dram::DataPattern::kAllOnes, dram::kBytesPerRow);
+  for (Rig* rig : {&runs, &reference}) {
+    rig->init(2, 7, image);
+    EXPECT_FALSE(rig->session.set_vpp(1.5).ok());
+    rig->init(2, 7, image);
+    rig->read(2, 7);
+  }
+  expect_equivalent(runs, reference);
+  ASSERT_EQ(runs.outcomes.size(), 3u);
+  EXPECT_EQ(runs.outcomes[0], "ok");
+  EXPECT_NE(runs.outcomes[1].find("ACT"), std::string::npos)
+      << runs.outcomes[1];
+  EXPECT_NE(runs.outcomes[2].find("read_row"), std::string::npos)
+      << runs.outcomes[2];
+  EXPECT_EQ(runs.session.counters().device_errors, 2u);
+}
+
+TEST(ColumnRunEquivalence, SessionWrongSizeImageIssuesNothing) {
+  Rig runs(false);
+  Rig reference(true);
+  for (Rig* rig : {&runs, &reference}) {
+    rig->init(0, 9, std::vector<std::uint8_t>(dram::kBytesPerRow - 1, 0xff));
+    rig->init(0, 9, {});
+  }
+  expect_equivalent(runs, reference);
+  ASSERT_EQ(runs.outcomes.size(), 2u);
+  EXPECT_NE(runs.outcomes[0].find("8191"), std::string::npos)
+      << runs.outcomes[0];
+  EXPECT_EQ(runs.session.counters(), CommandCounts{});
+  EXPECT_EQ(runs.session.clock_ns(), 0.0);
+  EXPECT_EQ(runs.session.trace()->total_recorded(), 0u);
+  EXPECT_TRUE(runs.log.events.empty());
 }
 
 TEST(ColumnRun, ReadRowNotifiesEachObserverOnce) {
