@@ -10,6 +10,7 @@
 
 #include "chips/module_db.hpp"
 #include "common/json.hpp"
+#include "common/simd.hpp"
 
 namespace vppstudy::bench {
 
@@ -189,7 +190,9 @@ bool write_perf_snapshot(const std::string& path,
   json.begin_object();
   json.kv("schema", "vppstudy-bench-perf/1");
   // The host's cores, so jobs=N rows can be read: nproc is the CPUs this
-  // process may run on, hardware_concurrency the machine's.
+  // process may run on, hardware_concurrency the machine's. simd names the
+  // hash-walk kernels the run dispatched to, which the sensing rows depend
+  // on as much as on the core count.
   cpu_set_t cpus;
   CPU_ZERO(&cpus);
   const int nproc =
@@ -198,6 +201,7 @@ bool write_perf_snapshot(const std::string& path,
   json.kv("nproc", nproc);
   json.kv("hardware_concurrency",
           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.kv("simd", common::simd::active_impl_name());
   json.end_object();
   json.key("benchmarks").begin_array();
   for (const auto& e : entries) {

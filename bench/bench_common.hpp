@@ -208,7 +208,8 @@ struct PerfEntry {
 [[nodiscard]] std::string perf_snapshot_path();
 
 /// Write the perf snapshot (name -> ns/op + counters, plus a `host` block
-/// with nproc and hardware_concurrency) as a JSON document so CI can
+/// with nproc, hardware_concurrency and the active SIMD kernels) as a JSON
+/// document so CI can
 /// archive a perf trajectory across commits. Returns false on I/O failure.
 [[nodiscard]] bool write_perf_snapshot(const std::string& path,
                                        std::span<const PerfEntry> entries);

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 
 namespace vppstudy::common {
 
@@ -48,6 +49,21 @@ hash_key(std::initializer_list<std::uint64_t> words) noexcept {
 [[nodiscard]] constexpr double to_unit_double(std::uint64_t h) noexcept {
   // Use the top 53 bits for a dyadic rational in [0,1).
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// Smallest hash h with to_unit_double(h) > t, so that the comparison
+/// becomes the exact integer test h >= min_hash_above(t). With
+/// k = floor(t * 2^53) + 1 the bound is k << 11: every hash passes when
+/// t < 0, and none does (std::nullopt) when k >= 2^53 -- t >= 1 - 2^-53,
+/// or NaN, which no draw exceeds either.
+[[nodiscard]] constexpr std::optional<std::uint64_t>
+min_hash_above(double t) noexcept {
+  if (t < 0.0) return 0;
+  if (!(t < 1.0)) return std::nullopt;
+  // t * 2^53 is exact and in [0, 2^53), so truncation is the floor.
+  const auto k = static_cast<std::uint64_t>(t * 0x1.0p53) + 1;
+  if (k >= (std::uint64_t{1} << 53)) return std::nullopt;
+  return k << 11;
 }
 
 /// Uniform double in [0, 1) for a hashed key.

@@ -10,20 +10,32 @@
 //
 //   out[i] = hash_accumulate(hash_accumulate(prefix, index0 + i), tag)
 //
-// which is four independent SplitMix64 chains per AVX2 vector. This header
-// exposes that walk behind a runtime-dispatched implementation (AVX2 when the
-// CPU supports it, portable scalar otherwise). Both paths produce bit-exact
-// identical output by construction: the AVX2 kernel performs the same adds,
-// shifts, xors, and 64-bit multiplies per lane, just four lanes at a time.
+// which is independent SplitMix64 chains, one per vector lane. Two walks
+// share that core: hash_index_walk stores the hashes, and hash_mask_walk
+// compares each against an integer threshold and packs the results into
+// 64-bit masks, one bit per index -- the shape the sensing scan consumes,
+// since a flip draw "uniform > 1 - p" is exactly "hash >= min_hash_above(
+// 1 - p)" (common/rng.hpp) and never needs a double.
+//
+// Three implementations, all bit-exact replicas of the scalar kernel, which
+// is the definition: AVX2 runs four lanes and synthesizes the 64-bit
+// multiply from 32x32->64 partial products (compare: sign-flipped cmpgt plus
+// movemask); AVX-512 (F+DQ) runs eight lanes with native vpmullq (compare:
+// cmpge_epu64_mask). Every lane performs the same adds, shifts, xors and
+// 64-bit multiplies as mix64.
 //
 // The same dispatch serves xor_popcount, the harness's flip counter: the
 // number of bits that differ between two byte images, 256 bits per AVX2 step
-// (nibble-table popcount) instead of one byte at a time.
+// (nibble-table popcount) instead of one byte at a time. It has no AVX-512
+// kernel; the avx512 dispatch runs the AVX2 one.
 //
-// Dispatch is decided once, on first use, from CPU detection; it can be
-// overridden for tests via force_impl() or the VPP_SIMD environment variable
-// ("scalar" or "avx2"). Overrides are not thread-safe -- install them before
-// spawning workers.
+// Dispatch is decided once, on first use, from CPU detection (the widest
+// kernel the CPU runs). The VPP_SIMD environment variable selects a
+// narrower one: it takes exactly the names active_impl_name() prints
+// ("scalar", "avx2", "avx512"), and an unknown or unsupported value is
+// reported on stderr and ignored.
+// Tests override it via force_impl(). Overrides are not thread-safe --
+// install them before spawning workers.
 #pragma once
 
 #include <cstddef>
@@ -35,15 +47,17 @@ namespace vppstudy::common::simd {
 enum class Impl {
   kScalar,  ///< portable fallback, used on non-x86 or by request
   kAvx2,    ///< 4-wide AVX2 kernels
+  kAvx512,  ///< 8-wide AVX-512 (F+DQ) kernels
 };
 
-/// True when this CPU can run the AVX2 kernels.
-[[nodiscard]] bool avx2_supported() noexcept;
+/// True when this CPU can run `impl`'s kernels (kScalar: always).
+[[nodiscard]] bool impl_supported(Impl impl) noexcept;
 
 /// The implementation batched walks currently dispatch to.
 [[nodiscard]] Impl active_impl() noexcept;
 
-/// Human-readable name of active_impl() ("avx2" / "scalar").
+/// Name of active_impl(): "scalar", "avx2" or "avx512" -- also the values
+/// VPP_SIMD accepts.
 [[nodiscard]] const char* active_impl_name() noexcept;
 
 /// Force a specific implementation (tests, benchmarks, debugging). Returns
@@ -58,9 +72,11 @@ bool force_impl(std::optional<Impl> impl) noexcept;
 void hash_index_walk(std::uint64_t prefix, std::uint64_t tag,
                      std::uint64_t index0, std::size_t n, std::uint64_t* out);
 
-/// Same walk, converted through to_unit_double: uniform draws in [0, 1).
-void uniform_index_walk(std::uint64_t prefix, std::uint64_t tag,
-                        std::uint64_t index0, std::size_t n, double* out);
+/// Threshold form of the same walk: bit j of out[w] is set iff
+/// hash(index0 + 64*w + j) >= min_hash, for w in [0, words).
+void hash_mask_walk(std::uint64_t prefix, std::uint64_t tag,
+                    std::uint64_t index0, std::size_t words,
+                    std::uint64_t min_hash, std::uint64_t* out);
 
 /// Number of bits that differ between a[0, n) and b[0, n): the popcount of
 /// a XOR b. Both implementations return the same exact count.

@@ -250,50 +250,50 @@ void Module::apply_flips(std::uint32_t bank, std::uint32_t physical_row,
       std::sort(retention_bits.begin(), retention_bits.end());
     }
   } else if (do_hammer || do_retention) {
-    // Reference full-row scan: every bit, charge polarity via the cached
-    // per-row polarity words, then the per-bit uniform draws. This is the
-    // path the flip index must stay bit-exact against. The scan works one
-    // 64-bit word at a time: an eligibility mask (stored == charged) from
-    // the polarity words, then batched uniform draws from the SIMD walk
-    // kernels. Drawing a whole word at once evaluates some uniforms the
-    // per-bit loop would skip, but cell_uniform is a pure function of its
-    // coordinates, so the *used* values -- and therefore the flip sets --
-    // are identical; retention draws stay lazy per word exactly like the
-    // scalar loop (only bits not already flipped by hammer consult them).
+    // Reference full-row scan: the path the flip index must stay bit-exact
+    // against. It works one 64-bit word at a time: an eligibility mask
+    // (stored == charged) from the cached polarity words, and a "draw
+    // exceeds the threshold" mask from the mask walk, which compares the
+    // hashes against the exact integer form of the threshold. A bit that
+    // qualifies for both mechanisms is a hammer flip, so retention masks
+    // are drawn only for words with eligible bits the hammer left, and only
+    // those bits consult them. Bits come out of countr_zero in ascending
+    // order, so both lists are already sorted. The hammer masks are drawn
+    // 16 words at a time: a whole-row mask array in this frame measurably
+    // slows the O(flips) path above, which shares the frame.
     const std::vector<std::uint64_t>& polarity =
         cached_polarity(bank, physical_row, rs);
-    double u_hammer[64];
-    double u_retention[64];
-    for (std::uint32_t w = 0; w < kColumnsPerRow; ++w) {
-      std::uint64_t stored = 0;
-      for (std::uint32_t b = 0; b < 8; ++b) {
-        stored |= static_cast<std::uint64_t>(rs.data[w * 8 + b]) << (8 * b);
+    const auto append_bits = [](std::uint64_t mask, std::uint32_t base,
+                                std::vector<std::uint32_t>& out) {
+      for (; mask != 0; mask &= mask - 1) {
+        out.push_back(base +
+                      static_cast<std::uint32_t>(std::countr_zero(mask)));
       }
-      const std::uint64_t eligible = ~(stored ^ polarity[w]);
-      if (eligible == 0) continue;
-      const std::uint32_t base = w * 64;
+    };
+    constexpr std::uint32_t kChunkWords = 16;
+    std::uint64_t hammer_masks[kChunkWords] = {};
+    for (std::uint32_t w0 = 0; w0 < kColumnsPerRow; w0 += kChunkWords) {
       if (do_hammer) {
-        physics_.cell_uniform_batch(bank, physical_row, base, 64,
-                                    CellPhysics::CellDraw::kHammer, u_hammer);
+        physics_.cell_uniform_masks(bank, physical_row, w0, kChunkWords,
+                                    CellPhysics::CellDraw::kHammer,
+                                    hammer_threshold, hammer_masks);
       }
-      std::uint64_t retention_candidates = 0;
-      for (std::uint64_t m = eligible; m != 0; m &= m - 1) {
-        const auto j = static_cast<std::uint32_t>(std::countr_zero(m));
-        if (do_hammer && u_hammer[j] > hammer_threshold) {
-          hammer_bits.push_back(base + j);
-        } else if (do_retention) {
-          retention_candidates |= 1ULL << j;
+      for (std::uint32_t w = w0; w < w0 + kChunkWords; ++w) {
+        std::uint64_t stored = 0;
+        for (std::uint32_t b = 0; b < 8; ++b) {
+          stored |= static_cast<std::uint64_t>(rs.data[w * 8 + b]) << (8 * b);
         }
-      }
-      if (retention_candidates != 0) {
-        physics_.cell_uniform_batch(bank, physical_row, base, 64,
-                                    CellPhysics::CellDraw::kRetention,
-                                    u_retention);
-        for (std::uint64_t m = retention_candidates; m != 0; m &= m - 1) {
-          const auto j = static_cast<std::uint32_t>(std::countr_zero(m));
-          if (u_retention[j] > retention_threshold) {
-            retention_bits.push_back(base + j);
-          }
+        const std::uint64_t eligible = ~(stored ^ polarity[w]);
+        const std::uint64_t hammer = hammer_masks[w - w0] & eligible;
+        append_bits(hammer, w * 64, hammer_bits);
+        const std::uint64_t candidates =
+            do_retention ? eligible & ~hammer : 0;
+        if (candidates != 0) {
+          std::uint64_t retention = 0;
+          physics_.cell_uniform_masks(bank, physical_row, w, 1,
+                                      CellPhysics::CellDraw::kRetention,
+                                      retention_threshold, &retention);
+          append_bits(candidates & retention, w * 64, retention_bits);
         }
       }
     }

@@ -1,7 +1,9 @@
 #include "dram/physics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -339,12 +341,20 @@ double CellPhysics::cell_uniform(std::uint32_t bank, std::uint32_t row,
       {profile_.seed, bank, row, bit, static_cast<std::uint64_t>(what)}));
 }
 
-void CellPhysics::cell_uniform_batch(std::uint32_t bank, std::uint32_t row,
-                                     std::uint32_t bit0, std::uint32_t n,
-                                     CellDraw what, double* out) const {
-  common::simd::uniform_index_walk(cell_hash_prefix(profile_.seed, bank, row),
-                                   static_cast<std::uint64_t>(what), bit0, n,
-                                   out);
+void CellPhysics::cell_uniform_masks(std::uint32_t bank, std::uint32_t row,
+                                     std::uint32_t word0, std::uint32_t words,
+                                     CellDraw what, double threshold,
+                                     std::uint64_t* out) const {
+  const std::optional<std::uint64_t> min_hash =
+      common::min_hash_above(threshold);
+  if (!min_hash.has_value()) {
+    std::fill_n(out, words, std::uint64_t{0});
+    return;
+  }
+  common::simd::hash_mask_walk(cell_hash_prefix(profile_.seed, bank, row),
+                               static_cast<std::uint64_t>(what),
+                               std::uint64_t{word0} * 64, words, *min_hash,
+                               out);
 }
 
 bool CellPhysics::charged_value(std::uint32_t bank, std::uint32_t row,
@@ -376,41 +386,71 @@ std::vector<std::uint64_t> CellPhysics::charged_words(std::uint32_t bank,
 CellPhysics::RowFlipIndex CellPhysics::build_flip_index(
     std::uint32_t bank, std::uint32_t row, CellDraw what,
     std::uint32_t top_k) const {
+  using Entry = RowFlipIndex::Entry;
   RowFlipIndex index;
   if (top_k == 0) return index;
-  // Partial selection: keep the running top-K in a min-heap keyed on u so
-  // one pass over the row suffices. Ties cannot occur (cell_uniform values
-  // are distinct 53-bit dyadics with overwhelming probability, and equal
-  // values would land in the same position of the sorted tail anyway).
-  auto& heap = index.cells;
+  // The index order: u descending, ties (vanishingly rare between 53-bit
+  // dyadics) by ascending bit. It is a strict total order, so the running
+  // top-K heap below keeps exactly the top-K whatever order cells arrive in.
+  const auto ranks_above = [](const Entry& a, const Entry& b) {
+    return a.u > b.u || (a.u == b.u && a.bit < b.bit);
+  };
+  auto& heap = index.cells;  // front: the lowest-ranked entry kept
   heap.reserve(top_k + 1);
-  const auto less_u = [](const RowFlipIndex::Entry& a,
-                         const RowFlipIndex::Entry& b) { return a.u > b.u; };
-  // The uniforms come from the batched SIMD walk (values identical to the
-  // scalar per-bit calls); heap maintenance stays scalar and processes bits
-  // in ascending order, so the resulting index is byte-identical either way.
-  constexpr std::uint32_t kBatch = 1024;
-  double uniforms[kBatch];
-  for (std::uint32_t base = 0; base < kBitsPerRow; base += kBatch) {
-    cell_uniform_batch(bank, row, base, kBatch, what, uniforms);
-    for (std::uint32_t i = 0; i < kBatch; ++i) {
-      const std::uint32_t bit = base + i;
-      const double u = uniforms[i];
-      if (heap.size() < top_k) {
-        heap.push_back({u, bit});
-        std::push_heap(heap.begin(), heap.end(), less_u);
-      } else if (u > heap.front().u) {
-        std::pop_heap(heap.begin(), heap.end(), less_u);
-        heap.back() = {u, bit};
-        std::push_heap(heap.begin(), heap.end(), less_u);
+  const auto offer = [&](const Entry& e) {
+    if (heap.size() < top_k) {
+      heap.push_back(e);
+      std::push_heap(heap.begin(), heap.end(), ranks_above);
+    } else if (ranks_above(e, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), ranks_above);
+      heap.back() = e;
+      std::push_heap(heap.begin(), heap.end(), ranks_above);
+    }
+  };
+  const auto finish = [&] {
+    std::sort(heap.begin(), heap.end(), ranks_above);
+    index.floor_u = heap.back().u;
+  };
+  const std::uint64_t prefix = cell_hash_prefix(profile_.seed, bank, row);
+  const auto tag = static_cast<std::uint64_t>(what);
+
+  // Prefilter: the K-th largest of N uniforms concentrates at 1 - K/N, so
+  // the cells above 1 - 4K/N (~4K of them, found by one mask walk) hold the
+  // whole top-K whenever at least K pass -- every other cell ranks below
+  // all of them. Only those get an exact uniform and a heap offer; the
+  // full-row pass remains for the rare row where fewer than K pass.
+  const double prefilter = 1.0 - 4.0 * top_k / kBitsPerRow;
+  if (prefilter > 0.0) {
+    constexpr std::uint32_t kChunkWords = 16;
+    std::uint64_t masks[kChunkWords];
+    for (std::uint32_t w0 = 0; w0 < kColumnsPerRow; w0 += kChunkWords) {
+      cell_uniform_masks(bank, row, w0, kChunkWords, what, prefilter, masks);
+      for (std::uint32_t w = 0; w < kChunkWords; ++w) {
+        for (std::uint64_t m = masks[w]; m != 0; m &= m - 1) {
+          const std::uint32_t bit =
+              (w0 + w) * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
+          offer({to_unit_double(common::hash_accumulate(
+                     common::hash_accumulate(prefix, bit), tag)),
+                 bit});
+        }
       }
     }
+    if (heap.size() == top_k) {
+      finish();
+      return index;
+    }
+    heap.clear();
   }
-  std::sort(heap.begin(), heap.end(),
-            [](const RowFlipIndex::Entry& a, const RowFlipIndex::Entry& b) {
-              return a.u > b.u;
-            });
-  index.floor_u = heap.back().u;
+
+  constexpr std::uint32_t kBatch = 1024;
+  std::uint64_t hashes[kBatch];
+  for (std::uint32_t base = 0; base < kBitsPerRow; base += kBatch) {
+    common::simd::hash_index_walk(prefix, tag, base, kBatch, hashes);
+    for (std::uint32_t i = 0; i < kBatch; ++i) {
+      offer({to_unit_double(hashes[i]), base + i});
+    }
+  }
+  finish();
   return index;
 }
 

@@ -184,13 +184,15 @@ class CellPhysics {
   };
   [[nodiscard]] double cell_uniform(std::uint32_t bank, std::uint32_t row,
                                     std::uint32_t bit, CellDraw what) const;
-  /// Batched form of cell_uniform over a contiguous bit range:
-  /// out[i] = cell_uniform(bank, row, bit0 + i, what) for i in [0, n).
-  /// Dispatches to the common/simd.hpp walk kernels (bit-exact vs the
-  /// scalar per-bit calls by construction).
-  void cell_uniform_batch(std::uint32_t bank, std::uint32_t row,
-                          std::uint32_t bit0, std::uint32_t n, CellDraw what,
-                          double* out) const;
+  /// Threshold form of cell_uniform over whole 64-bit words: bit j of
+  /// out[w] is set iff cell_uniform(bank, row, 64 * (word0 + w) + j, what)
+  /// > threshold, for w in [0, words). Evaluated as the exact integer test
+  /// h >= common::min_hash_above(threshold) on the common/simd.hpp mask
+  /// walk, so it forms no double and matches the per-bit draws bit for bit.
+  void cell_uniform_masks(std::uint32_t bank, std::uint32_t row,
+                          std::uint32_t word0, std::uint32_t words,
+                          CellDraw what, double threshold,
+                          std::uint64_t* out) const;
   /// True-cell / anti-cell layout: the stored value that corresponds to a
   /// *charged* capacitor for this cell.
   [[nodiscard]] bool charged_value(std::uint32_t bank, std::uint32_t row,
@@ -215,9 +217,9 @@ class CellPhysics {
   /// kind. Because cell_uniform is a pure function of its coordinates, the
   /// set {bit : uniform > 1 - p} -- exactly the cells a probability-p flip
   /// evaluation selects -- is a prefix of the row's uniforms sorted
-  /// descending. The index retains the top-K of them; any p with
-  /// 1 - p >= floor_u is answered in O(actual flips) instead of a
-  /// 65536-bit scan.
+  /// descending. The index retains the top-K of them, ranked by (u
+  /// descending, bit ascending); any p with 1 - p >= floor_u is answered
+  /// in O(actual flips) instead of a 65536-bit scan.
   struct RowFlipIndex {
     struct Entry {
       double u = 0.0;          ///< the cell's uniform draw

@@ -319,5 +319,40 @@ TEST(Module, OnDieEccSuppressesSingleBitFlips) {
   EXPECT_GT(m.stats().ondie_ecc_corrections, 0u);
 }
 
+// One sense can see both mechanisms at once: a victim left unrefreshed for
+// 30 s (~40% of its charged cells leak) while its neighbours take 2M
+// activations each. That full-row scan classifies a bit that qualifies for
+// both as a hammer flip, so the two lists stay disjoint and every counted
+// flip is one flipped bit. (A bit in both lists would be counted twice and
+// XORed back to its stored value.)
+TEST(Module, HammerAndRetentionFlipsInOneSenseAreDisjoint) {
+  Module m(small_profile());
+  m.set_trr_enabled(false);
+  m.set_temperature(85.0);
+  const std::uint32_t victim = 500;
+  const auto n = m.mapping().physical_neighbors(victim);
+  ASSERT_TRUE(n.valid);
+  double t = 0.0;
+  ASSERT_TRUE(m.activate(0, victim, t).ok());
+  for (std::uint32_t c = 0; c < kColumnsPerRow; ++c) {
+    ASSERT_TRUE(m.write(0, c, word_of(0xAA), t + 14 + c).ok());
+  }
+  ASSERT_TRUE(m.precharge(0, t + 14 + kColumnsPerRow + 20).ok());
+  t += 3000.0;
+  ASSERT_TRUE(m.hammer_pair(0, n.below, n.above, 2'000'000, 45.5, t).ok());
+  t += 30e9;
+  const auto data = m.debug_row_snapshot(0, victim, t);
+
+  std::uint64_t flipped = 0;
+  for (const auto b : data) {
+    flipped += static_cast<std::uint64_t>(
+        __builtin_popcount(static_cast<unsigned>(b ^ 0xAA)));
+  }
+  const ModuleStats& stats = m.stats();
+  EXPECT_GT(stats.hammer_bit_flips, 100u);
+  EXPECT_GT(stats.retention_bit_flips, 1000u);
+  EXPECT_EQ(flipped, stats.hammer_bit_flips + stats.retention_bit_flips);
+}
+
 }  // namespace
 }  // namespace vppstudy::dram

@@ -1,15 +1,19 @@
 // Tier-1 checks for the runtime-dispatched SIMD layer (common/simd.hpp): the
-// AVX2 and portable scalar word-walk kernels must agree bit-for-bit at every
-// layer that consumes them -- raw hash walks, per-cell uniform batches, the
-// charged-polarity words, the sorted flip index, and finally whole-device
-// runs (identical stored bytes and ModuleStats across VPP levels, with the
-// reference full-row scan both off and on). On CPUs without AVX2 the
-// cross-implementation cases skip; the definitional checks still run against
-// the scalar kernel.
+// AVX-512, AVX2 and portable scalar word-walk kernels must agree bit-for-bit
+// at every layer that consumes them -- raw hash walks, per-cell threshold
+// masks, the charged-polarity words, the sorted flip index, and finally
+// whole-device runs (identical stored bytes and ModuleStats across VPP
+// levels, with the reference full-row scan both off and on). A case that
+// needs a kernel this CPU cannot run skips; the definitional checks still
+// run against every kernel it can.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chips/module_db.hpp"
@@ -22,6 +26,8 @@ namespace vppstudy::dram {
 namespace {
 
 using common::simd::Impl;
+
+constexpr Impl kAllImpls[] = {Impl::kScalar, Impl::kAvx2, Impl::kAvx512};
 
 ModuleProfile small_profile() {
   auto p = chips::profile_by_name("B3").value();
@@ -38,23 +44,62 @@ class SimdWordWalk : public ::testing::Test {
 };
 
 TEST_F(SimdWordWalk, ForceImplControlsDispatch) {
-  ASSERT_TRUE(common::simd::force_impl(Impl::kScalar));
-  EXPECT_EQ(common::simd::active_impl(), Impl::kScalar);
-  EXPECT_STREQ(common::simd::active_impl_name(), "scalar");
-  if (common::simd::avx2_supported()) {
-    ASSERT_TRUE(common::simd::force_impl(Impl::kAvx2));
-    EXPECT_EQ(common::simd::active_impl(), Impl::kAvx2);
-    EXPECT_STREQ(common::simd::active_impl_name(), "avx2");
-  } else {
-    EXPECT_FALSE(common::simd::force_impl(Impl::kAvx2));
-    EXPECT_EQ(common::simd::active_impl(), Impl::kScalar);
+  // Each kernel is selectable by itself: forcing AVX2 on an AVX-512 CPU
+  // still runs AVX2, which is what lets one host cover all three.
+  const char* const names[] = {"scalar", "avx2", "avx512"};
+  for (const Impl impl : kAllImpls) {
+    const char* name = names[static_cast<int>(impl)];
+    if (common::simd::impl_supported(impl)) {
+      ASSERT_TRUE(common::simd::force_impl(impl)) << name;
+      EXPECT_EQ(common::simd::active_impl(), impl) << name;
+      EXPECT_STREQ(common::simd::active_impl_name(), name);
+    } else {
+      ASSERT_TRUE(common::simd::force_impl(Impl::kScalar));
+      EXPECT_FALSE(common::simd::force_impl(impl)) << name;
+      EXPECT_EQ(common::simd::active_impl(), Impl::kScalar) << name;
+    }
   }
+  EXPECT_TRUE(common::simd::impl_supported(Impl::kScalar));
+}
+
+TEST_F(SimdWordWalk, VppSimdSelectsByNameAndReportsTypos) {
+  const char* saved = std::getenv("VPP_SIMD");
+  const std::string restore = saved != nullptr ? saved : "";
+  const auto resolve_with = [](const char* value) {
+    ::setenv("VPP_SIMD", value, 1);
+    common::simd::force_impl(std::nullopt);
+    ::testing::internal::CaptureStderr();
+    const Impl impl = common::simd::active_impl();
+    return std::make_pair(impl, ::testing::internal::GetCapturedStderr());
+  };
+  // A valid name selects that kernel silently, even below the widest one.
+  const auto [scalar, scalar_err] = resolve_with("scalar");
+  EXPECT_EQ(scalar, Impl::kScalar);
+  EXPECT_EQ(scalar_err, "");
+  if (common::simd::impl_supported(Impl::kAvx2)) {
+    const auto [avx2, avx2_err] = resolve_with("avx2");
+    EXPECT_EQ(avx2, Impl::kAvx2);
+    EXPECT_EQ(avx2_err, "");
+  }
+  // A typo falls back to auto-detection, and says so on one stderr line
+  // naming the value and the kernel actually chosen.
+  const auto [fallback, typo_err] = resolve_with("avx3");
+  EXPECT_NE(typo_err.find("\"avx3\""), std::string::npos) << typo_err;
+  EXPECT_NE(typo_err.find(common::simd::active_impl_name()), std::string::npos)
+      << typo_err;
+  EXPECT_EQ(std::count(typo_err.begin(), typo_err.end(), '\n'), 1)
+      << typo_err;
+  ::unsetenv("VPP_SIMD");
+  common::simd::force_impl(std::nullopt);
+  EXPECT_EQ(fallback, common::simd::active_impl());
+
+  if (saved != nullptr) ::setenv("VPP_SIMD", restore.c_str(), 1);
 }
 
 TEST_F(SimdWordWalk, WalkMatchesHashKeyDefinition) {
-  // Whatever implementation is active, the batched walk must equal the
-  // one-at-a-time hash_key fold it factors: hash_key({a, b, index, tag})
-  // with the (a, b) prefix folded once.
+  // Every implementation's batched walk must equal the one-at-a-time
+  // hash_key fold it factors: hash_key({a, b, index, tag}) with the (a, b)
+  // prefix folded once.
   const std::uint64_t a = 0x5eedULL;
   const std::uint64_t b = 3;  // e.g. a bank
   std::uint64_t prefix = common::hash_accumulate(common::kHashInit, a);
@@ -62,68 +107,114 @@ TEST_F(SimdWordWalk, WalkMatchesHashKeyDefinition) {
 
   const std::uint64_t tag = 42;
   const std::uint64_t index0 = 1'000'000;
-  std::vector<std::uint64_t> out(133);
-  common::simd::hash_index_walk(prefix, tag, index0, out.size(), out.data());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], common::hash_key({a, b, index0 + i, tag})) << i;
+  for (const Impl impl : kAllImpls) {
+    if (!common::simd::force_impl(impl)) continue;
+    std::vector<std::uint64_t> out(133);
+    common::simd::hash_index_walk(prefix, tag, index0, out.size(),
+                                  out.data());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], common::hash_key({a, b, index0 + i, tag}))
+          << common::simd::active_impl_name() << " " << i;
+    }
+  }
+}
+
+/// Hash walks of every length that straddles the 4- and 8-lane widths
+/// (tails of 0..7) and of the sizes the device model issues (64-bit
+/// polarity words, 1024-bit batches), scalar vs `impl`.
+void expect_hash_walks_match_scalar(Impl impl) {
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{5},
+        std::size_t{7}, std::size_t{8}, std::size_t{9}, std::size_t{64},
+        std::size_t{65}, std::size_t{1024}}) {
+    std::vector<std::uint64_t> scalar(n), simd(n);
+    ASSERT_TRUE(common::simd::force_impl(Impl::kScalar));
+    common::simd::hash_index_walk(0x1234, 7, 65'000, n, scalar.data());
+    ASSERT_TRUE(common::simd::force_impl(impl));
+    common::simd::hash_index_walk(0x1234, 7, 65'000, n, simd.data());
+    EXPECT_EQ(scalar, simd) << common::simd::active_impl_name() << " n=" << n;
   }
 }
 
 TEST_F(SimdWordWalk, ScalarAndAvx2HashWalksMatchWordForWord) {
-  if (!common::simd::avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2";
-  // Lengths straddle the 4-lane width (tails of 0..3) and the sizes the
-  // device model actually issues (64-bit polarity words, 1024-bit batches).
-  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                              std::size_t{5}, std::size_t{64}, std::size_t{65},
-                              std::size_t{1024}}) {
-    std::vector<std::uint64_t> scalar(n), avx2(n);
-    std::vector<double> scalar_u(n), avx2_u(n);
-    ASSERT_TRUE(common::simd::force_impl(Impl::kScalar));
-    common::simd::hash_index_walk(0x1234, 7, 65'000, n, scalar.data());
-    common::simd::uniform_index_walk(0x1234, 7, 65'000, n, scalar_u.data());
-    ASSERT_TRUE(common::simd::force_impl(Impl::kAvx2));
-    common::simd::hash_index_walk(0x1234, 7, 65'000, n, avx2.data());
-    common::simd::uniform_index_walk(0x1234, 7, 65'000, n, avx2_u.data());
-    EXPECT_EQ(scalar, avx2) << "n=" << n;
-    EXPECT_EQ(scalar_u, avx2_u) << "n=" << n;  // exact: same bits, same dyadic
+  if (!common::simd::impl_supported(Impl::kAvx2)) {
+    GTEST_SKIP() << "CPU lacks AVX2";
   }
+  expect_hash_walks_match_scalar(Impl::kAvx2);
 }
 
-TEST_F(SimdWordWalk, CellUniformBatchMatchesPerBitDraws) {
+TEST_F(SimdWordWalk, ScalarAndAvx512HashWalksMatchWordForWord) {
+  if (!common::simd::impl_supported(Impl::kAvx512)) {
+    GTEST_SKIP() << "CPU lacks AVX-512 F+DQ";
+  }
+  expect_hash_walks_match_scalar(Impl::kAvx512);
+}
+
+TEST_F(SimdWordWalk, CellUniformMasksMatchPerBitDraws) {
   const CellPhysics physics(small_profile());
-  constexpr std::uint32_t kBit0 = 5000;
-  constexpr std::uint32_t kCount = 300;
-  std::vector<double> batch(kCount);
-  for (const auto what :
-       {CellPhysics::CellDraw::kHammer, CellPhysics::CellDraw::kRetention,
-        CellPhysics::CellDraw::kTrcd, CellPhysics::CellDraw::kPolarity}) {
-    physics.cell_uniform_batch(0, 700, kBit0, kCount, what, batch.data());
-    for (std::uint32_t i = 0; i < kCount; ++i) {
-      EXPECT_EQ(batch[i], physics.cell_uniform(0, 700, kBit0 + i, what))
-          << "draw " << static_cast<int>(what) << " bit " << (kBit0 + i);
+  constexpr std::uint32_t kWord0 = 78;  // bit 4992
+  constexpr std::uint32_t kWords = 5;
+  for (const Impl impl : kAllImpls) {
+    if (!common::simd::force_impl(impl)) continue;
+    for (const auto what :
+         {CellPhysics::CellDraw::kHammer, CellPhysics::CellDraw::kRetention,
+          CellPhysics::CellDraw::kTrcd, CellPhysics::CellDraw::kPolarity}) {
+      for (const double threshold : {-1.0, 0.0, 0.3, 0.99, 1.0}) {
+        std::uint64_t masks[kWords];
+        physics.cell_uniform_masks(0, 700, kWord0, kWords, what, threshold,
+                                   masks);
+        for (std::uint32_t i = 0; i < kWords * 64; ++i) {
+          const std::uint32_t bit = kWord0 * 64 + i;
+          EXPECT_EQ(((masks[i / 64] >> (i % 64)) & 1u) != 0,
+                    physics.cell_uniform(0, 700, bit, what) > threshold)
+              << common::simd::active_impl_name() << " draw "
+              << static_cast<int>(what) << " t=" << threshold << " bit "
+              << bit;
+        }
+      }
     }
   }
 }
 
 TEST_F(SimdWordWalk, PhysicsDerivedTablesMatchAcrossImpls) {
-  if (!common::simd::avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2";
+  if (!common::simd::impl_supported(Impl::kAvx2)) {
+    GTEST_SKIP() << "CPU lacks AVX2";
+  }
   const CellPhysics physics(small_profile());
-
+  struct Tables {
+    std::vector<std::uint64_t> words;
+    std::vector<CellPhysics::RowFlipIndex> indexes;
+  };
+  // The default depth takes the prefiltered path; 16384 (= N/4) leaves no
+  // room for a prefilter and always runs the full-row heap.
+  const auto tables = [&] {
+    Tables t;
+    t.words = physics.charged_words(0, 321);
+    for (const auto what :
+         {CellPhysics::CellDraw::kHammer, CellPhysics::CellDraw::kRetention}) {
+      for (const std::uint32_t top_k : {CellPhysics::kFlipIndexTopK, 16384u}) {
+        t.indexes.push_back(physics.build_flip_index(0, 321, what, top_k));
+      }
+    }
+    return t;
+  };
   ASSERT_TRUE(common::simd::force_impl(Impl::kScalar));
-  const auto words_scalar = physics.charged_words(0, 321);
-  const auto index_scalar =
-      physics.build_flip_index(0, 321, CellPhysics::CellDraw::kHammer);
-  ASSERT_TRUE(common::simd::force_impl(Impl::kAvx2));
-  const auto words_avx2 = physics.charged_words(0, 321);
-  const auto index_avx2 =
-      physics.build_flip_index(0, 321, CellPhysics::CellDraw::kHammer);
-
-  EXPECT_EQ(words_scalar, words_avx2);
-  ASSERT_EQ(index_scalar.cells.size(), index_avx2.cells.size());
-  EXPECT_EQ(index_scalar.floor_u, index_avx2.floor_u);
-  for (std::size_t i = 0; i < index_scalar.cells.size(); ++i) {
-    EXPECT_EQ(index_scalar.cells[i].bit, index_avx2.cells[i].bit) << i;
-    EXPECT_EQ(index_scalar.cells[i].u, index_avx2.cells[i].u) << i;
+  const Tables scalar = tables();
+  for (const Impl impl : {Impl::kAvx2, Impl::kAvx512}) {
+    if (!common::simd::force_impl(impl)) continue;
+    const Tables simd = tables();
+    EXPECT_EQ(scalar.words, simd.words) << common::simd::active_impl_name();
+    ASSERT_EQ(scalar.indexes.size(), simd.indexes.size());
+    for (std::size_t k = 0; k < scalar.indexes.size(); ++k) {
+      const auto& a = scalar.indexes[k];
+      const auto& b = simd.indexes[k];
+      ASSERT_EQ(a.cells.size(), b.cells.size()) << k;
+      EXPECT_EQ(a.floor_u, b.floor_u) << k;
+      for (std::size_t i = 0; i < a.cells.size(); ++i) {
+        EXPECT_EQ(a.cells[i].bit, b.cells[i].bit) << k << " " << i;
+        EXPECT_EQ(a.cells[i].u, b.cells[i].u) << k << " " << i;
+      }
+    }
   }
 }
 
@@ -160,7 +251,9 @@ class SimdWordWalkDevice : public ::testing::TestWithParam<double> {
 };
 
 TEST_P(SimdWordWalkDevice, WholeDeviceRunsAreBitExactAcrossImpls) {
-  if (!common::simd::avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2";
+  if (!common::simd::impl_supported(Impl::kAvx2)) {
+    GTEST_SKIP() << "CPU lacks AVX2";
+  }
   const double vpp = GetParam();
   for (const bool reference_sensing : {false, true}) {
     Module::Options options;
@@ -170,14 +263,18 @@ TEST_P(SimdWordWalkDevice, WholeDeviceRunsAreBitExactAcrossImpls) {
     Module scalar(small_profile(), options);
     const auto scalar_bytes = run_device_scenario(scalar, vpp);
 
-    ASSERT_TRUE(common::simd::force_impl(Impl::kAvx2));
-    Module avx2(small_profile(), options);
-    const auto avx2_bytes = run_device_scenario(avx2, vpp);
+    for (const Impl impl : {Impl::kAvx2, Impl::kAvx512}) {
+      if (!common::simd::force_impl(impl)) continue;
+      Module simd(small_profile(), options);
+      const auto simd_bytes = run_device_scenario(simd, vpp);
 
-    EXPECT_EQ(scalar_bytes, avx2_bytes)
-        << "vpp=" << vpp << " reference_sensing=" << reference_sensing;
-    EXPECT_TRUE(scalar.stats() == avx2.stats())
-        << "vpp=" << vpp << " reference_sensing=" << reference_sensing;
+      EXPECT_EQ(scalar_bytes, simd_bytes)
+          << common::simd::active_impl_name() << " vpp=" << vpp
+          << " reference_sensing=" << reference_sensing;
+      EXPECT_TRUE(scalar.stats() == simd.stats())
+          << common::simd::active_impl_name() << " vpp=" << vpp
+          << " reference_sensing=" << reference_sensing;
+    }
   }
 }
 

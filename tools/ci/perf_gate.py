@@ -19,8 +19,9 @@ Subcommands:
                             the full delta table, and appends it to
                             $GITHUB_STEP_SUMMARY when that is set. Warns
                             (advisory only) when BASELINE has no "host"
-                            block, and prints both core counts when the
-                            two snapshots ran on different core counts.
+                            block, and prints both core counts (or both
+                            SIMD kernel names) when the two snapshots ran
+                            on different core counts (or kernels).
   scaling CURRENT           Ratio check of two benchmarks in one snapshot:
                             by default the jobs=2 study sweep must not be
                             slower than jobs=1 (the whole point of sharded
@@ -57,7 +58,7 @@ def load_medians(path):
 
 
 def load_host(path):
-    """The snapshot's "host" block (core counts), or None if it has none."""
+    """The snapshot's "host" block (core counts, SIMD kernels), or None."""
     with open(path) as f:
         return json.load(f).get("host")
 
@@ -70,14 +71,25 @@ def host_notes(baseline_path, base_host, current_host):
             "cannot be read against a core count; re-record it from a "
             "snapshot that carries its host"
         ]
+    current_host = current_host or {}
+    notes = []
     base_cores = base_host.get("nproc")
-    current_cores = (current_host or {}).get("nproc")
+    current_cores = current_host.get("nproc")
     if current_cores is not None and base_cores != current_cores:
-        return [
+        notes.append(
             f"::warning::core counts differ: baseline nproc {base_cores}, "
             f"current nproc {current_cores}"
-        ]
-    return []
+        )
+    # The sensing rows run the hash-walk kernels, so their ns/op depends on
+    # the kernel width (scalar, 4 or 8 lanes): name both when they differ.
+    base_simd = base_host.get("simd")
+    current_simd = current_host.get("simd")
+    if current_simd is not None and base_simd != current_simd:
+        notes.append(
+            f"::warning::SIMD kernels differ: baseline simd {base_simd}, "
+            f"current simd {current_simd}"
+        )
+    return notes
 
 
 def compare_medians(base, current, threshold):
@@ -237,6 +249,29 @@ def cmd_self_test(_args):
         return 1
     if host_notes("base.json", {"nproc": 4}, {"nproc": 4}):
         print("self-test FAILED: matching hosts wrongly flagged")
+        return 1
+    # Differing SIMD kernels give one line naming both (a baseline recorded
+    # before snapshots named them differs from any named kernel); matching
+    # kernels give nothing, and a core-count mismatch adds its own line.
+    notes = host_notes(
+        "base.json",
+        {"nproc": 4, "simd": "avx512"},
+        {"nproc": 4, "simd": "avx2"},
+    )
+    kernels = ("baseline simd avx512,", "current simd avx2")
+    if len(notes) != 1 or not all(k in notes[0] for k in kernels):
+        print(f"self-test FAILED: SIMD kernel mismatch not reported: {notes}")
+        return 1
+    if host_notes(
+        "base.json",
+        {"nproc": 4, "simd": "avx2"},
+        {"nproc": 4, "simd": "avx2"},
+    ):
+        print("self-test FAILED: matching SIMD kernels wrongly flagged")
+        return 1
+    notes = host_notes("base.json", {"nproc": 4}, {"nproc": 8, "simd": "avx2"})
+    if len(notes) != 2:
+        print("self-test FAILED: core and kernel mismatch not both reported")
         return 1
     # Median reduction: {90, 300, 100} -> 100, not the 163 mean.
     import tempfile
