@@ -1,6 +1,8 @@
 #include "server/server.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string_view>
 #include <utility>
 
@@ -67,10 +69,24 @@ void Server::stop() {
   }
 }
 
+void Server::reap_finished_connections() {
+  std::vector<std::pair<std::shared_ptr<Connection>, std::thread>> finished;
+  {
+    std::lock_guard lock(mu_);
+    const auto first_done = std::partition(
+        connections_.begin(), connections_.end(),
+        [](const auto& entry) { return !entry.first->done.load(); });
+    std::move(first_done, connections_.end(), std::back_inserter(finished));
+    connections_.erase(first_done, connections_.end());
+  }
+  for (auto& [conn, thread] : finished) thread.join();
+}
+
 void Server::accept_loop() {
   for (;;) {
     auto socket = listener_.accept();
     if (!socket) return;  // listener shut down
+    reap_finished_connections();
     auto conn = std::make_shared<Connection>();
     conn->socket = std::move(*socket);
     {
@@ -102,10 +118,12 @@ void Server::handle_connection(const std::shared_ptr<Connection>& conn) {
   // The reader is gone: nobody will read this client's responses, so its
   // in-flight jobs only waste workers -- cancel them. And actually close the
   // stream: the Connection object outlives this thread (connections_ holds
-  // it until stop()), so without the shutdown a peer waiting on the
-  // documented close-after-kFrameTooLarge would block forever.
+  // it until the next accept reaps it, in-flight jobs until they finish),
+  // so without the shutdown a peer waiting on the documented
+  // close-after-kFrameTooLarge would block forever.
   queue_.cancel_client(conn->id);
   conn->socket.shutdown_both();
+  conn->done.store(true);
 }
 
 bool Server::handle_frame(const std::shared_ptr<Connection>& conn,

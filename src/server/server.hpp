@@ -21,6 +21,7 @@
 // reader, and joins all threads; wait() parks the caller until then.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -72,11 +73,18 @@ class Server {
     common::Socket socket;
     std::mutex write_mu;
     std::uint64_t id = 0;
+    /// Set by the reader thread as it exits; accept_loop reaps it then.
+    std::atomic<bool> done{false};
   };
 
   Server(Config config, common::ServerSocket listener);
 
   void accept_loop();
+  /// Join and forget the connections whose reader threads have exited, so
+  /// a long-lived daemon does not hold one fd and one thread per closed
+  /// client. In-flight jobs keep their own shared_ptr to the Connection, so
+  /// its socket closes when the last of them finishes.
+  void reap_finished_connections();
   void handle_connection(const std::shared_ptr<Connection>& conn);
   /// Decode and dispatch one frame; false when the connection must close.
   bool handle_frame(const std::shared_ptr<Connection>& conn,

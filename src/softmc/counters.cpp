@@ -34,17 +34,16 @@ std::string CommandCounts::summary() const {
   return buf;
 }
 
-void SessionCounters::on_column_run(const ColumnRunView& run,
+void SessionCounters::on_column_run(const ColumnBurst& burst,
                                     double start_ns) {
-  if (run.size() == 0) return;
   double now = start_ns;
-  for (std::size_t i = 0; i < run.size(); ++i) {
+  for (std::size_t i = 0; i < burst.count; ++i) {
     const double from = now;
-    now += run.slots(i) * common::kCommandSlotNs;
+    now += burst.slots(i) * common::kCommandSlotNs;
     counts_.simulated_ns += now - from;
   }
-  (run.kind() == dram::CommandKind::kRead ? counts_.reads : counts_.writes) +=
-      run.size();
+  (burst.kind == dram::CommandKind::kRead ? counts_.reads : counts_.writes) +=
+      burst.count;
 }
 
 void SessionCounters::on_command(const Instruction& inst, double now_ns) {

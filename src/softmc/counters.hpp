@@ -52,8 +52,8 @@ class SessionCounters final : public SessionObserver {
   }
   void on_command(const Instruction& inst, double now_ns) override;
   /// The replay's clock sums, one addition per command (bit-exact), and
-  /// one count bump for the run.
-  void on_column_run(const ColumnRunView& run, double start_ns) override;
+  /// one count bump for the burst.
+  void on_column_run(const ColumnBurst& burst, double start_ns) override;
   void on_hammer(std::uint32_t bank, std::uint64_t count, double act_to_act_ns,
                  double start_ns, double end_ns) override {
     (void)bank;

@@ -7,34 +7,7 @@
 
 namespace vppstudy::softmc {
 
-using common::Error;
-using common::ErrorCode;
 using common::Status;
-
-namespace {
-
-/// An instruction a column run can hold: a plain RD/WR with no extra wait.
-bool runnable(const Instruction& inst) noexcept {
-  return (inst.kind == dram::CommandKind::kRead ||
-          inst.kind == dram::CommandKind::kWrite) &&
-         inst.loop_count == 0 && inst.extra_wait_ns <= 0.0;
-}
-
-/// One past the last instruction of the maximal column run starting at
-/// `begin` (same kind, same bank); `begin` when none starts there.
-std::size_t column_run_end(std::span<const Instruction> insts,
-                           std::size_t begin) {
-  const Instruction& first = insts[begin];
-  if (!runnable(first)) return begin;
-  std::size_t end = begin + 1;
-  while (end < insts.size() && runnable(insts[end]) &&
-         insts[end].kind == first.kind && insts[end].bank == first.bank) {
-    ++end;
-  }
-  return end;
-}
-
-}  // namespace
 
 CommandDispatcher::CommandDispatcher(dram::Module& module,
                                      const TimingChecker& checker)
@@ -157,53 +130,19 @@ bool CommandDispatcher::issue_one(const Instruction& inst,
   return true;
 }
 
-CommandDispatcher::RunOutcome CommandDispatcher::admit_run(
-    const ColumnRunView& run, double clock_ns,
-    std::optional<dram::Module::ColumnRun>& device) {
-  if (checker_.flags_column(run.bank(),
-                            clock_ns + run.slots(0) * common::kCommandSlotNs)) {
-    return RunOutcome::kFlagged;
+bool CommandDispatcher::issue_burst(const ColumnBurst& burst,
+                                    std::span<std::uint8_t> reads,
+                                    double& clock_ns) {
+  // Column commands leave the checker's state alone and tRCD only grows
+  // along a burst, so if its first command is not flagged none is.
+  if (checker_.flags_column(
+          burst.bank, clock_ns + burst.first_slots * common::kCommandSlotNs)) {
+    return false;
   }
-  std::uint32_t max_column = 0;
-  if (const ColumnBurst* burst = run.burst()) {
-    max_column = burst->first_column + burst->count - 1;
-  } else {
-    for (const Instruction& inst : run.instructions()) {
-      max_column = std::max(max_column, inst.column);
-    }
-  }
-  auto opened = module_.column_run(run.kind(), run.bank(), max_column);
-  if (!opened) return RunOutcome::kRejected;
-  device.emplace(*opened);
-  for (SessionObserver* obs : observers_) obs->on_column_run(run, clock_ns);
-  return RunOutcome::kIssued;
-}
-
-CommandDispatcher::RunOutcome CommandDispatcher::issue_run(
-    std::span<const Instruction> run, ExecutionResult& result,
-    double& clock_ns) {
-  std::optional<dram::Module::ColumnRun> device;
-  const RunOutcome outcome = admit_run(ColumnRunView(run), clock_ns, device);
-  if (outcome != RunOutcome::kIssued) return outcome;
-  const bool reading = run.front().kind == dram::CommandKind::kRead;
-  for (const Instruction& inst : run) {
-    clock_ns += inst.slots_after_previous * common::kCommandSlotNs;
-    if (reading) {
-      result.reads.push_back(device->read(inst.column, clock_ns));
-    } else {
-      device->write(inst.column, inst.write_data);
-    }
-  }
-  return RunOutcome::kIssued;
-}
-
-CommandDispatcher::RunOutcome CommandDispatcher::issue_burst(
-    const ColumnBurst& burst, std::span<std::uint8_t> reads,
-    double& clock_ns) {
-  std::optional<dram::Module::ColumnRun> device;
-  const RunOutcome outcome =
-      admit_run(ColumnRunView(burst), clock_ns, device);
-  if (outcome != RunOutcome::kIssued) return outcome;
+  auto device = module_.column_run(burst.kind, burst.bank,
+                                   burst.first_column + burst.count - 1);
+  if (!device) return false;
+  for (SessionObserver* obs : observers_) obs->on_column_run(burst, clock_ns);
   clock_ns += burst.first_slots * common::kCommandSlotNs;
   const double first_ns = clock_ns;
   for (std::uint32_t i = 1; i < burst.count; ++i) {
@@ -216,7 +155,7 @@ CommandDispatcher::RunOutcome CommandDispatcher::issue_burst(
   } else {
     device->write_columns(burst.first_column, burst.write_data);
   }
-  return RunOutcome::kIssued;
+  return true;
 }
 
 bool CommandDispatcher::dispatch_one(const Instruction& original,
@@ -266,66 +205,40 @@ ExecutionResult CommandDispatcher::execute(const Program& program,
   ExecutionResult result;
   result.reads.reserve(program.read_count());
   const std::size_t violations_before = checker_.violations().size();
-  const std::span<const Instruction> insts = program.instructions();
-  // [i, run_end) is what is left of the column run at i. Runs are only
-  // formed without an interceptor: fault plans address single commands.
-  std::size_t run_end = 0;
-  bool rejected = false;
-  for (std::size_t i = 0; i < insts.size(); ++i) {
-    if (interceptor_ == nullptr) {
-      if (i >= run_end) {
-        run_end = column_run_end(insts, i);
-        rejected = false;
-      }
-      if (!rejected && run_end - i > 1) {
-        const RunOutcome outcome =
-            issue_run(insts.subspan(i, run_end - i), result, clock_ns);
-        if (outcome == RunOutcome::kIssued) {
-          i = run_end - 1;
-          continue;
-        }
-        // A run the device rejects goes per command to its end, so the
-        // error surfaces at its command; a flagged one issues its first
-        // command alone and retries the rest as a run.
-        rejected = outcome == RunOutcome::kRejected;
-      }
-    }
-    if (!dispatch_one(insts[i], result, clock_ns)) break;
+  for (const Instruction& inst : program.instructions()) {
+    if (!dispatch_one(inst, result, clock_ns)) break;
   }
   result.timing_violations = checker_.violations().size() - violations_before;
   return result;
 }
 
-std::optional<Status> CommandDispatcher::execute_transfer(
+CommandDispatcher::TransferResult CommandDispatcher::execute_transfer(
     const RowTransfer& transfer, std::span<std::uint8_t> reads,
     double& clock_ns) {
-  // The ACT issues at act_ns and the checker then holds it as the bank's
-  // last ACT, so the burst's first command is flagged exactly when this
-  // test (flags_column's, on the same clock sums) says so.
-  const double act_ns =
-      clock_ns + transfer.act.slots_after_previous * common::kCommandSlotNs;
-  const double first_ns =
-      act_ns + transfer.burst.first_slots * common::kCommandSlotNs;
-  if (interceptor_ != nullptr || checker_.violates_trcd(first_ns - act_ns)) {
-    return std::nullopt;
-  }
+  const ColumnBurst& burst = transfer.burst;
   ExecutionResult result;
-  if (!dispatch_one(transfer.act, result, clock_ns)) return result.status;
-  if (issue_burst(transfer.burst, reads, clock_ns) != RunOutcome::kIssued) {
-    // Only reachable when something moved the device between the ACT and
-    // the burst; go command by command so the error surfaces at its command.
-    for (std::size_t i = 0; i < transfer.burst.count; ++i) {
-      if (!dispatch_one(transfer.burst.instruction(i), result, clock_ns)) {
-        return result.status;
-      }
+  bool ok = dispatch_one(transfer.act, result, clock_ns);
+  std::size_t delivered = 0;
+  if (ok && interceptor_ == nullptr &&
+      issue_burst(burst, reads, clock_ns)) {
+    if (burst.kind == dram::CommandKind::kRead) delivered = burst.count;
+  } else {
+    if (burst.kind == dram::CommandKind::kRead) {
+      result.reads.reserve(burst.count);
     }
-    for (std::size_t c = 0; c < result.reads.size(); ++c) {
+    for (std::size_t i = 0; ok && i < burst.count; ++i) {
+      ok = dispatch_one(burst.instruction(i), result, clock_ns);
+    }
+    delivered = result.reads.size();
+    const std::size_t stored =
+        std::min(delivered, reads.size() / dram::kBytesPerColumn);
+    for (std::size_t c = 0; c < stored; ++c) {
       std::copy(result.reads[c].begin(), result.reads[c].end(),
                 reads.begin() + c * dram::kBytesPerColumn);
     }
   }
-  dispatch_one(transfer.pre, result, clock_ns);
-  return result.status;
+  if (ok) dispatch_one(transfer.pre, result, clock_ns);
+  return {std::move(result.status), delivered};
 }
 
 }  // namespace vppstudy::softmc

@@ -7,28 +7,23 @@
 // dispatcher must not change command ordering or clock arithmetic (sweep
 // output is bit-identical by construction).
 //
-// Column runs: a row read or write is 1,024 consecutive RD (or WR) commands,
-// and paying observer fan-out plus device validation per command dominated
-// every measurement. The dispatcher issues each maximal run of RD (or WR)
-// commands on one bank with no extra waits in bulk -- one on_column_run per
-// observer, one dram::Module::column_run validation, then the per-column
-// device work -- with the same clock arithmetic. It falls back to the
-// per-command loop when an interceptor is attached, when the device would
-// reject the run, and for the leading commands of a run the timing checker
-// would flag, so errors and violations surface exactly as they did.
-//
-// Row transfers: the session's init_row/read_row hand over a RowTransfer,
-// not a Program. execute_transfer issues its ACT and PRE like any command
-// and its ColumnBurst as one run whose device work is a bulk copy
-// (Module::ColumnRun::read_columns/write_columns), again with the same clock
-// arithmetic and observer callbacks. It declines -- issuing nothing -- when
-// an interceptor is attached or the burst's first command would be flagged,
-// and the session then executes RowOps' per-command Program instead.
+// Row transfers: a row write or read is 1,024 back-to-back WR (or RD)
+// commands, and paying observer fan-out plus device validation per command
+// dominated every measurement. The session's init_row/read_row therefore
+// hand over a RowTransfer, not a Program, and execute_transfer is the one
+// bulk path: it issues the ACT and PRE like any command and the ColumnBurst
+// in between as one run -- one on_column_run per observer, one
+// dram::Module::column_run validation, then a bulk copy
+// (Module::ColumnRun::read_columns/write_columns) -- with the clock
+// arithmetic of the per-command loop. It walks the burst command by command
+// instead when an interceptor is attached (fault plans address single
+// commands), when the timing checker would flag the first command, or when
+// the device would reject the run, so errors and violations surface exactly
+// where they would. A Program always goes command by command.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -52,8 +47,8 @@ struct ExecutionResult {
 class CommandDispatcher {
  public:
   /// The dispatcher watches the checker's violation log for growth so new
-  /// violations fan out to observers, and asks it whether a column run
-  /// would be flagged. The checker must still be registered as the first
+  /// violations fan out to observers, and asks it whether a burst would be
+  /// flagged. The checker must still be registered as the first
   /// observer (Session does this).
   CommandDispatcher(dram::Module& module, const TimingChecker& checker);
 
@@ -74,20 +69,27 @@ class CommandDispatcher {
     return interceptor_;
   }
 
-  /// Execute `program` against the module, advancing `clock_ns` in place.
+  /// Execute `program` against the module, one command at a time,
+  /// advancing `clock_ns` in place.
   [[nodiscard]] ExecutionResult execute(const Program& program,
                                         double& clock_ns);
 
-  /// Execute `transfer` with its burst in bulk: the commands, clock
-  /// arithmetic, observer callbacks and device effects of executing
-  /// RowOps::program(transfer), with a read burst's data written straight
-  /// into `reads` (burst.count columns). Returns nullopt, having issued
-  /// nothing, when the transfer must go command by command: an interceptor
-  /// is attached, or the timing checker would flag the burst's first
-  /// command.
-  [[nodiscard]] std::optional<common::Status> execute_transfer(
-      const RowTransfer& transfer, std::span<std::uint8_t> reads,
-      double& clock_ns);
+  /// What execute_transfer delivered: the first error, and the number of
+  /// read bursts written into `reads`.
+  struct TransferResult {
+    common::Status status;
+    std::size_t reads = 0;
+  };
+
+  /// Execute `transfer`: the commands, clock arithmetic, observer callbacks
+  /// and device effects of executing RowOps::program(transfer), with a read
+  /// burst's data written straight into `reads` (8 bytes per burst; bursts
+  /// past its end are counted but not stored). The burst goes in bulk
+  /// unless an interceptor is attached, its first command would be flagged,
+  /// or the device rejects it; then it goes command by command.
+  [[nodiscard]] TransferResult execute_transfer(const RowTransfer& transfer,
+                                                std::span<std::uint8_t> reads,
+                                                double& clock_ns);
 
  private:
   void advance(double& clock_ns, double ns);
@@ -103,21 +105,11 @@ class CommandDispatcher {
   /// false to abort the program.
   bool issue_one(const Instruction& inst, ExecutionResult& result,
                  double& clock_ns);
-  enum class RunOutcome : std::uint8_t { kIssued, kFlagged, kRejected };
-  /// Open a column run: kFlagged -- the checker would flag its first
-  /// command; kRejected -- the device would reject some command. Nothing is
-  /// issued unless the outcome is kIssued, in which case every observer has
-  /// seen the run and `device` is open for its device work.
-  RunOutcome admit_run(const ColumnRunView& run, double clock_ns,
-                       std::optional<dram::Module::ColumnRun>& device);
-  /// Issue a span of program instructions as one run, per-column device
-  /// work; outcomes as admit_run.
-  RunOutcome issue_run(std::span<const Instruction> run,
-                       ExecutionResult& result, double& clock_ns);
-  /// Issue a uniform burst as one run, bulk device work; read data lands in
-  /// `reads`. Outcomes as admit_run.
-  RunOutcome issue_burst(const ColumnBurst& burst,
-                         std::span<std::uint8_t> reads, double& clock_ns);
+  /// Issue `burst` as one run with bulk device work; read data lands in
+  /// `reads`. Issues nothing and returns false when the timing checker
+  /// would flag its first command or the device would reject it.
+  bool issue_burst(const ColumnBurst& burst, std::span<std::uint8_t> reads,
+                   double& clock_ns);
 
   dram::Module& module_;
   const TimingChecker& checker_;

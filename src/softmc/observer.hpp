@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -31,69 +30,14 @@ struct TimingViolation {
   double at_ns = 0.0;
 };
 
-/// A run of column commands of one kind on one bank with no extra waits, as
-/// the dispatcher delivers it to observers: either a span of program
-/// instructions or a uniform ColumnBurst (a session row write or read). Both
-/// shapes answer the same questions, so an observer handles them in one
-/// loop. Borrowed: valid only for the duration of the callback.
-class ColumnRunView {
- public:
-  explicit ColumnRunView(std::span<const Instruction> program_run) noexcept
-      : program_(program_run) {}
-  explicit ColumnRunView(const ColumnBurst& burst) noexcept : burst_(&burst) {}
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return burst_ != nullptr ? burst_->count : program_.size();
-  }
-  [[nodiscard]] dram::CommandKind kind() const noexcept {
-    return burst_ != nullptr ? burst_->kind : program_.front().kind;
-  }
-  [[nodiscard]] std::uint32_t bank() const noexcept {
-    return burst_ != nullptr ? burst_->bank : program_.front().bank;
-  }
-  /// Command slots between command i and its predecessor.
-  [[nodiscard]] std::uint32_t slots(std::size_t i) const noexcept {
-    return burst_ != nullptr ? burst_->slots(i)
-                             : program_[i].slots_after_previous;
-  }
-  /// The uniform burst, or nullptr for a span of program instructions.
-  [[nodiscard]] const ColumnBurst* burst() const noexcept { return burst_; }
-  /// The program instructions (empty for a burst).
-  [[nodiscard]] std::span<const Instruction> instructions() const noexcept {
-    return program_;
-  }
-
-  /// Visit each command in order as fn(instruction, from_ns, issue_ns): the
-  /// command clock moves from `from_ns` to the command's issue time, one
-  /// `slots * kCommandSlotNs` addition per command from `start_ns` (the
-  /// dispatcher's own arithmetic). A burst's commands are built on the fly.
-  template <typename Fn>
-  void for_each_command(double start_ns, Fn&& fn) const {
-    double now = start_ns;
-    for (std::size_t i = 0; i < size(); ++i) {
-      const double from = now;
-      now += slots(i) * common::kCommandSlotNs;
-      if (burst_ != nullptr) {
-        fn(burst_->instruction(i), from, now);
-      } else {
-        fn(program_[i], from, now);
-      }
-    }
-  }
-
- private:
-  std::span<const Instruction> program_;
-  const ColumnBurst* burst_ = nullptr;
-};
-
 /// Hook interface for the command dispatch loop. All callbacks default to
 /// no-ops so observers override only what they need. Callback order per
 /// instruction: on_clock_advance (as the command clock moves to issue
 /// time), on_command (at issue, before the device acts), then -- after the
 /// device acts -- on_hammer for loop instructions, on_violation for each
 /// new timing violation, and on_error if the device rejected the command.
-/// Runs of column commands arrive through on_column_run, whose default
-/// replays exactly that per-command sequence.
+/// The column burst of a session row write or read arrives through
+/// on_column_run, whose default replays exactly that per-command sequence.
 class SessionObserver {
  public:
   virtual ~SessionObserver() = default;
@@ -110,23 +54,25 @@ class SessionObserver {
     (void)inst;
     (void)now_ns;
   }
-  /// A run of column commands issues: consecutive RD (or WR) commands of
-  /// one kind on one bank with no extra waits -- a span of a Program, or the
-  /// uniform burst of a session row write or read. The first issues
-  /// slots(0) slots after `start_ns`, each later one slots(i) after its
-  /// predecessor. The dispatcher delivers a run only when the device accepts
-  /// all of it and the timing checker flags none of it, so no on_violation
-  /// or on_error falls inside a run, and it notifies every observer of the
-  /// whole run before the device acts on it. The default replays
-  /// on_clock_advance + on_command per command at the same issue times, with
-  /// the same Instruction a Program would hold; an override must leave the
-  /// observer in the same state that replay would.
-  virtual void on_column_run(const ColumnRunView& run, double start_ns) {
-    run.for_each_command(
-        start_ns, [this](const Instruction& inst, double from, double now) {
-          on_clock_advance(from, now);
-          on_command(inst, now);
-        });
+  /// The uniform column burst of a session row write or read issues:
+  /// burst.count RD (or WR) commands on one bank, the first
+  /// burst.first_slots slots after `start_ns`, each later one
+  /// burst.spacing_slots after its predecessor. The dispatcher delivers a
+  /// burst only when the device accepts all of it and the timing checker
+  /// flags none of it, so no on_violation or on_error falls inside it, and
+  /// it notifies every observer of the whole burst before the device acts
+  /// on it. The default replays on_clock_advance + on_command per command
+  /// at the same issue times, with the Instructions RowOps::program would
+  /// hold; an override must leave the observer in the same state that
+  /// replay would.
+  virtual void on_column_run(const ColumnBurst& burst, double start_ns) {
+    double now = start_ns;
+    for (std::size_t i = 0; i < burst.count; ++i) {
+      const double from = now;
+      now += burst.slots(i) * common::kCommandSlotNs;
+      on_clock_advance(from, now);
+      on_command(burst.instruction(i), now);
+    }
   }
   /// A hammer loop retired: `count` activations of each aggressor at
   /// `act_to_act_ns` spacing between start_ns and end_ns.

@@ -5,10 +5,11 @@
 // drift apart on how a "read the whole row" program is constructed.
 //
 // A whole-row write or read is described once, as a RowTransfer (ACT, one
-// uniform ColumnBurst, PRE). The session issues that descriptor with the
-// burst in bulk; init_row()/read_row() expand the same descriptor into the
-// per-command Program, so both paths take their commands and slot counts
-// from row_write()/row_read().
+// uniform ColumnBurst, PRE). The session hands that descriptor to
+// CommandDispatcher::execute_transfer; init_row()/read_row() expand the same
+// descriptor into a per-command Program for callers that execute Programs
+// (trace replays, tests), so both take their commands and slot counts from
+// row_write()/row_read().
 #pragma once
 
 #include <cstdint>
@@ -53,7 +54,10 @@ class RowOps {
   [[nodiscard]] RowTransfer row_read(std::uint32_t bank, std::uint32_t row,
                                      double trcd_ns = -1.0) const;
 
-  /// `transfer` as a per-command Program (one instruction per command).
+  /// `transfer` as a Program of one instruction per command. Executing it
+  /// gives what Session::init_row/read_row give for the same transfer --
+  /// the commands, clock, observer callbacks, device effects and errors --
+  /// but every command goes through the per-command dispatch loop.
   [[nodiscard]] Program program(const RowTransfer& transfer) const;
 
   /// program(row_write(...)).

@@ -115,31 +115,14 @@ Status Session::init_row(std::uint32_t bank, std::uint32_t row,
   if (!transfer) {
     return std::move(transfer).error().with_module(module_.profile().name);
   }
-  if (auto status = dispatcher_.execute_transfer(*transfer, {}, clock_ns_)) {
-    return *std::move(status);
-  }
-  return execute(ops_.program(*transfer)).status;
+  return dispatcher_.execute_transfer(*transfer, {}, clock_ns_).status;
 }
 
 common::Expected<std::vector<std::uint8_t>> Session::read_row(
     std::uint32_t bank, std::uint32_t row, double trcd_ns) {
-  const RowTransfer transfer = ops_.row_read(bank, row, trcd_ns);
   std::vector<std::uint8_t> out(dram::kBytesPerRow);
-  Status status;
-  std::size_t bursts = dram::kColumnsPerRow;
-  if (auto bulk = dispatcher_.execute_transfer(transfer, out, clock_ns_)) {
-    status = *std::move(bulk);
-  } else {
-    auto r = execute(ops_.program(transfer));
-    status = std::move(r.status);
-    bursts = r.reads.size();
-    if (bursts == dram::kColumnsPerRow) {
-      for (std::size_t c = 0; c < bursts; ++c) {
-        std::copy(r.reads[c].begin(), r.reads[c].end(),
-                  out.begin() + c * dram::kBytesPerColumn);
-      }
-    }
-  }
+  auto [status, bursts] = dispatcher_.execute_transfer(
+      ops_.row_read(bank, row, trcd_ns), out, clock_ns_);
   if (!status.ok()) {
     return std::move(status)
         .error()

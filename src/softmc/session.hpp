@@ -103,12 +103,11 @@ class Session {
   }
 
   // --- Convenience operations used by the harness -----------------------------
-  // init_row/read_row issue RowOps' row transfer (ACT, one column burst, PRE)
-  // through CommandDispatcher::execute_transfer, which copies the burst in
-  // bulk; with an interceptor attached, or a read_row whose first RD would be
-  // flagged (below-spec tRCD), they execute the transfer's per-command
-  // Program instead. The rest are thin wrappers over RowOps program builders
-  // + execute().
+  // init_row/read_row each make one CommandDispatcher::execute_transfer
+  // call with RowOps' row transfer (ACT, one column burst, PRE); the
+  // dispatcher copies the burst in bulk, or walks it command by command when
+  // an interceptor is attached or its first command would be flagged. The
+  // rest are thin wrappers over RowOps program builders + execute().
   /// ACT + 1024 WR + PRE with nominal timing.
   common::Status init_row(std::uint32_t bank, std::uint32_t row,
                           const std::vector<std::uint8_t>& image);

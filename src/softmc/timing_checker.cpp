@@ -1,7 +1,5 @@
 #include "softmc/timing_checker.hpp"
 
-#include "common/units.hpp"
-
 namespace vppstudy::softmc {
 
 TimingChecker::TimingChecker(dram::Ddr4Timing timing)
@@ -73,17 +71,7 @@ bool TimingChecker::flags_column(std::uint32_t bank,
                                  double now_ns) const noexcept {
   if (bank >= banks_.size()) return false;
   const BankTimes& bt = banks_[bank];
-  return bt.open && violates_trcd(now_ns - bt.last_act);
-}
-
-void TimingChecker::on_column_run(const ColumnRunView& run,
-                                  double start_ns) {
-  double now = start_ns;
-  for (std::size_t i = 0; i < run.size(); ++i) {
-    now += run.slots(i) * common::kCommandSlotNs;
-    if (!flags_column(run.bank(), now)) return;
-    observe(run.kind(), run.bank(), now);
-  }
+  return bt.open && now_ns - bt.last_act < timing_.t_rcd_ns - 1e-9;
 }
 
 void TimingChecker::observe_hammer(std::uint32_t bank, std::uint64_t count,

@@ -26,16 +26,11 @@ class TimingChecker : public SessionObserver {
   void observe_hammer(std::uint32_t bank, std::uint64_t count,
                       double act_to_act_ns, double start_ns, double end_ns);
   /// Whether a RD/WR to `bank` at `now_ns` would be flagged (tRCD). Column
-  /// commands leave the checker's state alone, so along a run of them on
-  /// one bank only a prefix can be flagged: the dispatcher asks this for a
-  /// run's first command before issuing the run in bulk.
+  /// commands leave the checker's state alone, so along a burst on one bank
+  /// only a prefix can be flagged: the dispatcher asks this for a burst's
+  /// first command before issuing the burst in bulk.
   [[nodiscard]] bool flags_column(std::uint32_t bank,
                                   double now_ns) const noexcept;
-  /// Whether a RD/WR `since_act_ns` after its row's ACT breaks tRCD -- what
-  /// flags_column tests for an open bank, asked before the ACT issues.
-  [[nodiscard]] bool violates_trcd(double since_act_ns) const noexcept {
-    return since_act_ns < timing_.t_rcd_ns - 1e-9;
-  }
 
   // --- SessionObserver -------------------------------------------------------
   /// Loop instructions are skipped here (their timing is checked when the
@@ -44,9 +39,12 @@ class TimingChecker : public SessionObserver {
     if (inst.loop_count > 0) return;
     observe(inst.kind, inst.bank, now_ns);
   }
-  /// Checks the run's flagged prefix (empty for every run the dispatcher
-  /// delivers), then stops: later commands issue no earlier.
-  void on_column_run(const ColumnRunView& run, double start_ns) override;
+  /// Nothing to check: the dispatcher delivers only bursts whose first
+  /// command is not flagged, and column commands leave the state alone.
+  void on_column_run(const ColumnBurst& burst, double start_ns) override {
+    (void)burst;
+    (void)start_ns;
+  }
   void on_hammer(std::uint32_t bank, std::uint64_t count,
                  double act_to_act_ns, double start_ns,
                  double end_ns) override {

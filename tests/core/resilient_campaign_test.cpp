@@ -15,11 +15,20 @@
 #include "common/error.hpp"
 #include "core/export.hpp"
 #include "core/campaign.hpp"
+#include "softmc/trace_dump.hpp"
 #include "softmc/trace_replayer.hpp"
 #include "stats/descriptive.hpp"
 
 namespace vppstudy::core {
 namespace {
+
+/// A plan mixing dropped and corrupted reads, duplicated ACTs and delayed
+/// PREs. Over the two-module campaign below, B3 is quarantined by a dropped
+/// read on both attempts and A5 completes on its retry.
+constexpr const char* kMixedFaultSpec =
+    "seed=7;drop_read=0.00001;flip_read=0.0002,bits=2;dup_act=0.0004;"
+    "delay_pre=0.2,ns=9";
+constexpr std::uint64_t kMixedFaultDigest = 0x94e2a06d78548f35ULL;
 
 dram::ModuleProfile small_profile(const char* name = "B3") {
   auto p = chips::profile_by_name(name).value();
@@ -130,6 +139,58 @@ TEST(ResilientStudy, SeededCampaignIsBitReproducible) {
   EXPECT_EQ(a.instrumentation, b.instrumentation);
   EXPECT_EQ(campaign_json(a).str(), campaign_json(b).str());
   EXPECT_EQ(campaign_to_csv(a).str(), campaign_to_csv(b).str());
+}
+
+/// FNV-1a over `text`, folded into `h`.
+std::uint64_t fnv1a(std::uint64_t h, const std::string& text) {
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ResilientStudy, MixedFaultPlanOutputIsPinned) {
+  // The other tests check that a seeded campaign reproduces itself; this
+  // one pins its bytes, so a change to how faulted commands are dispatched
+  // cannot alter the exports or the quarantine evidence unnoticed. The
+  // constant was recorded before the row transfers lost their Program
+  // fallback; a deliberate change to fault semantics must re-record it.
+  CampaignPlan plan;
+  plan.sweep = SweepConfig::quick();
+  plan.sweep.vpp_levels = {2.5, 1.9};
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = 1;
+  plan.modules = {small_profile("B3"), small_profile("A5")};
+  plan.seed = 1;
+  harness::RetryPolicy retry;
+  retry.max_attempts = 2;
+  const softmc::FaultPlan faults =
+      softmc::FaultPlan::parse(kMixedFaultSpec).value();
+  const CampaignResult campaign =
+      CampaignEngine(std::move(plan)).run_resilient(faults, retry, 512);
+
+  ASSERT_EQ(campaign.modules.size(), 2u);
+  const ModuleCampaignResult& b3 = campaign.modules[0];
+  const ModuleCampaignResult& a5 = campaign.modules[1];
+  EXPECT_FALSE(b3.completed);
+  EXPECT_EQ(b3.error_code, common::ErrorCode::kReadUnderrun);
+  EXPECT_NE(b3.error_message.find("1023 of 1024"), std::string::npos)
+      << b3.error_message;
+  EXPECT_TRUE(b3.has_dump);
+  EXPECT_TRUE(a5.completed);
+  EXPECT_EQ(a5.attempts, 2u);
+  EXPECT_GT(b3.injections.corrupted_reads + a5.injections.corrupted_reads,
+            0u);
+  EXPECT_GT(b3.injections.delayed_pres + a5.injections.delayed_pres, 0u);
+  ASSERT_EQ(campaign.quarantines.size(), 1u);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  h = fnv1a(h, campaign_to_csv(campaign).str());
+  h = fnv1a(h, campaign_json(campaign).str());
+  for (const ModuleCampaignResult& m : campaign.modules) {
+    if (m.has_dump) h = fnv1a(h, softmc::trace_dump_json(m.dump).str());
+  }
+  EXPECT_EQ(h, kMixedFaultDigest) << std::hex << "0x" << h;
 }
 
 TEST(ResilientStudy, CvExcludesQuarantinedModules) {

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstddef>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -296,6 +299,43 @@ TEST(ServerStress, PipelinedRequestsBeyondQuotaGetTypedRejections) {
   const JobQueue::Stats stats = (*server)->queue_stats();
   EXPECT_EQ(stats.rejected_full + stats.rejected_quota, 2u);
 
+  (*server)->stop();
+}
+
+/// Open file descriptors of this process.
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+// A daemon serves many short-lived clients: each closed connection must
+// give back its socket and its reader thread instead of parking them until
+// shutdown.
+TEST(ServerStress, ClosedConnectionsReleaseTheirFds) {
+  auto server = Server::start(Server::Config{});
+  ASSERT_TRUE(server.has_value());
+  const std::size_t before = open_fd_count();
+  for (int i = 0; i < 300; ++i) {
+    RawConn conn = RawConn::connect((*server)->port());
+    conn.close();
+  }
+  // A connection is reaped by the first accept after its reader exits. A
+  // probe that was answered has been accepted, so every reader that had
+  // exited by then is gone; the last few may need another probe.
+  std::size_t after = 0;
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    RawConn probe = RawConn::connect((*server)->port());
+    probe.send_payload("{\"id\":1,\"type\":\"ping\"}");
+    ASSERT_TRUE(probe.recv_payload().has_value());
+    after = open_fd_count();
+    if (after <= before + 8) break;
+  }
+  EXPECT_LE(after, before + 8) << "started with " << before;
   (*server)->stop();
 }
 

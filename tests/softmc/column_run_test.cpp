@@ -1,13 +1,14 @@
-// Column-run dispatch against the per-command loop. Without an interceptor
-// the dispatcher issues each run of consecutive RD (or WR) commands on one
-// bank in bulk (observer on_column_run + one dram::Module::column_run
-// validation), and Session::init_row/read_row issue their row transfer's
-// column burst as one bulk copy; attaching a pass-through interceptor -- a
-// FaultInjector with an empty plan -- forces the per-command loop for every
-// instruction. The two must agree bit for bit on everything a caller can
+// Bulk column bursts against the per-command loop. Session::init_row and
+// read_row issue their row transfer's column burst as one run (observer
+// on_column_run + one dram::Module::column_run validation + a bulk copy);
+// every Program, and every burst while an interceptor is attached, goes
+// command by command. Attaching a pass-through interceptor -- a
+// FaultInjector with an empty plan -- forces the per-command walk of the
+// burst too. The paths must agree bit for bit on everything a caller can
 // see: read bursts and row images, returned errors, device stats, command
 // counters (simulated_ns included), the violation log, the trace ring, and
-// each observer's full callback sequence.
+// each observer's full callback sequence. Under a non-empty fault plan the
+// session's row I/O must also match executing RowOps::program(transfer).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,9 +45,9 @@ class CallbackLog final : public SessionObserver {
         inst.row, inst.column,
         static_cast<unsigned long long>(inst.loop_count), now_ns);
   }
-  void on_column_run(const ColumnRunView& run, double start_ns) override {
+  void on_column_run(const ColumnBurst& burst, double start_ns) override {
     ++runs;
-    SessionObserver::on_column_run(run, start_ns);
+    SessionObserver::on_column_run(burst, start_ns);
   }
   void on_hammer(std::uint32_t bank, std::uint64_t count,
                  double act_to_act_ns, double start_ns,
@@ -76,17 +77,19 @@ class CallbackLog final : public SessionObserver {
   }
 };
 
-/// One session, optionally forced onto the per-command loop.
+/// One session, optionally forced onto the per-command loop by an injector
+/// running `plan` (empty: pass-through).
 struct Rig {
-  explicit Rig(bool per_command, const char* module = "B3")
-      : session(small_profile(module)), passthrough(FaultPlan{}) {
+  explicit Rig(bool per_command, const char* module = "B3",
+               FaultPlan plan = {})
+      : session(small_profile(module)), injector(std::move(plan)) {
     session.add_observer(&log);
     session.enable_trace(8192);
-    if (per_command) session.set_fault_injector(&passthrough);
+    if (per_command) session.set_fault_injector(&injector);
   }
 
   Session session;
-  FaultInjector passthrough;
+  FaultInjector injector;
   CallbackLog log;
   std::vector<ExecutionResult> results;
   /// Session row I/O outcomes: "ok" or the error, and each row read back.
@@ -163,7 +166,7 @@ TEST(ColumnRunEquivalence, InitAndReadRowAtNominalTiming) {
     }
   }
   expect_equivalent(runs, reference);
-  EXPECT_EQ(runs.log.runs, 6u);  // one per init_row and per read_row
+  EXPECT_EQ(runs.log.runs, 0u);  // a Program never forms a run
   EXPECT_TRUE(runs.session.violations().empty());
 }
 
@@ -179,10 +182,10 @@ TEST(ColumnRunEquivalence, ReadRowBelowSpecTrcdFlagsInsideTheRun) {
     rig->run(ops.read_row(1, 50, 7.5));
   }
   expect_equivalent(runs, reference);
-  // The leading reads violate tRCD; the rest of each row still went as a run.
+  // The leading reads violate tRCD; every command went one by one.
   EXPECT_GE(runs.session.violations().size(), 2u);
   EXPECT_EQ(runs.session.violations().front().rule, "tRCD");
-  EXPECT_EQ(runs.log.runs, 3u);
+  EXPECT_EQ(runs.log.runs, 0u);
 }
 
 TEST(ColumnRunEquivalence, ProgramTextMixingBanksKindsAndBadColumn) {
@@ -217,7 +220,7 @@ TEST(ColumnRunEquivalence, ProgramTextMixingBanksKindsAndBadColumn) {
   ASSERT_FALSE(r.status.ok());
   EXPECT_EQ(r.status.error().code, common::ErrorCode::kInvalidArgument);
   EXPECT_EQ(r.reads.size(), 7u);  // every read before the bad column
-  EXPECT_GT(runs.log.runs, 0u);
+  EXPECT_EQ(runs.log.runs, 0u);
 }
 
 TEST(ColumnRunEquivalence, VppBelowVppminRejectsTheRun) {
@@ -283,8 +286,8 @@ TEST(ColumnRunEquivalence, SessionReadRowBelowSpecTrcdGoesPerCommand) {
   EXPECT_GE(runs.session.violations().size(), 2u);
   EXPECT_EQ(runs.session.violations().front().rule, "tRCD");
   EXPECT_GT(runs.session.module().stats().trcd_read_errors, 0u);
-  // Flagged reads take the Program path, whose unflagged tail is a run.
-  EXPECT_EQ(runs.log.runs, 3u);
+  // Flagged bursts go command by command: only the init_row burst is a run.
+  EXPECT_EQ(runs.log.runs, 1u);
 }
 
 TEST(ColumnRunEquivalence, SessionLegalTrcdAtLowVppKeepsTheNoiseSequence) {
@@ -356,6 +359,103 @@ TEST(ColumnRunEquivalence, SessionWrongSizeImageIssuesNothing) {
   EXPECT_EQ(runs.session.clock_ns(), 0.0);
   EXPECT_EQ(runs.session.trace()->total_recorded(), 0u);
   EXPECT_TRUE(runs.log.events.empty());
+}
+
+/// Session::init_row spelled as executing RowOps::program(transfer).
+void program_init(Rig& rig, std::uint32_t bank, std::uint32_t row,
+                  const std::vector<std::uint8_t>& image) {
+  const RowOps ops(rig.session.timing());
+  auto program = ops.init_row(bank, row, image);
+  ASSERT_TRUE(program.has_value());
+  const common::Status st = rig.session.execute(*program).status;
+  rig.outcomes.push_back(st.ok() ? "ok" : st.error().to_string());
+}
+
+/// Session::read_row spelled as executing RowOps::program(transfer), with
+/// read_row's error context and burst-count check.
+void program_read(Rig& rig, std::uint32_t bank, std::uint32_t row) {
+  const RowOps ops(rig.session.timing());
+  ExecutionResult r = rig.session.execute(ops.read_row(bank, row));
+  if (!r.status.ok()) {
+    rig.outcomes.push_back(std::move(r.status)
+                               .error()
+                               .with_bank_row(static_cast<std::int32_t>(bank),
+                                              row)
+                               .with_context("read_row")
+                               .to_string());
+    return;
+  }
+  if (r.reads.size() != dram::kColumnsPerRow) {
+    rig.outcomes.push_back(
+        common::Error{common::ErrorCode::kReadUnderrun,
+                      "row readout returned " +
+                          std::to_string(r.reads.size()) + " of " +
+                          std::to_string(dram::kColumnsPerRow) +
+                          " read bursts"}
+            .with_module(rig.session.module().profile().name)
+            .with_bank_row(static_cast<std::int32_t>(bank), row)
+            .with_op("RD")
+            .to_string());
+    return;
+  }
+  rig.outcomes.push_back("ok");
+  std::vector<std::uint8_t> image;
+  for (const auto& burst : r.reads) {
+    image.insert(image.end(), burst.begin(), burst.end());
+  }
+  rig.rows.push_back(std::move(image));
+}
+
+TEST(ColumnRunEquivalence, SessionRowIoUnderFaultsMatchesTheProgram) {
+  const FaultPlan plan =
+      FaultPlan::parse(
+          "seed=11;drop_read=0.0004;flip_read=0.0005,bits=3;"
+          "dup_act=0.15;delay_pre=0.3,ns=9")
+          .value();
+  Rig session_io(true, "B3", plan);
+  Rig programs(true, "B3", plan);
+  const auto image =
+      dram::pattern_row(dram::DataPattern::kCheckerAA, dram::kBytesPerRow);
+  Program close_bank(session_io.session.timing());
+  close_bank.pre(0);
+  for (std::uint32_t row = 100; row < 116; ++row) {
+    session_io.init(0, row, image);
+    program_init(programs, 0, row, image);
+    // A duplicated ACT leaves the bank open; both rigs close it alike.
+    for (Rig* rig : {&session_io, &programs}) rig->run(close_bank);
+    session_io.read(0, row);
+    program_read(programs, 0, row);
+    for (Rig* rig : {&session_io, &programs}) rig->run(close_bank);
+  }
+  expect_equivalent(session_io, programs);
+  EXPECT_EQ(session_io.log.runs, 0u);
+  EXPECT_EQ(session_io.injector.counts(), programs.injector.counts());
+  EXPECT_EQ(session_io.injector.log(), programs.injector.log());
+  EXPECT_EQ(session_io.injector.commands_seen(),
+            programs.injector.commands_seen());
+
+  // Every fault kind of the plan fired, and each shows up where it should.
+  const FaultInjector::InjectionCounts& counts = session_io.injector.counts();
+  EXPECT_GT(counts.dropped_reads, 0u);
+  EXPECT_GT(counts.corrupted_reads, 0u);
+  EXPECT_GT(counts.duplicated_acts, 0u);
+  EXPECT_GT(counts.delayed_pres, 0u);
+  const auto has_outcome = [&](const std::string& needle) {
+    for (const std::string& o : session_io.outcomes) {
+      if (o.find(needle) != std::string::npos) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_outcome("1023 of 1024"));
+  EXPECT_TRUE(has_outcome("kDeviceProtocol"));
+  bool corrupted = false;
+  for (const auto& row : session_io.rows) corrupted |= row != image;
+  EXPECT_TRUE(corrupted);
+  bool trp = false;
+  for (const TimingViolation& v : session_io.session.violations()) {
+    trp |= v.rule == "tRP";
+  }
+  EXPECT_TRUE(trp);
 }
 
 TEST(ColumnRun, ReadRowNotifiesEachObserverOnce) {
