@@ -1,7 +1,6 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -363,25 +362,7 @@ std::uint64_t CampaignPlan::digest(JobPhase phase) const {
        static_cast<std::uint64_t>(phase), seed,
        static_cast<std::uint64_t>(rows_per_shard)});
   const auto acc = [&h](std::uint64_t w) { h = common::hash_accumulate(h, w); };
-  const auto accd = [&acc](double v) { acc(std::bit_cast<std::uint64_t>(v)); };
-  acc(sweep.sampling.bank);
-  acc(sweep.sampling.chunks);
-  acc(sweep.sampling.rows_per_chunk);
-  acc(sweep.determine_wcdp ? 1 : 0);
-  acc(sweep.hammer.initial_hc);
-  acc(sweep.hammer.initial_step);
-  acc(sweep.hammer.min_step);
-  acc(sweep.hammer.ber_hc);
-  acc(static_cast<std::uint64_t>(sweep.hammer.num_iterations));
-  accd(sweep.hammer.act_to_act_ns);
-  accd(sweep.trcd.start_ns);
-  accd(sweep.trcd.step_ns);
-  accd(sweep.trcd.max_ns);
-  acc(static_cast<std::uint64_t>(sweep.trcd.num_iterations));
-  acc(sweep.trcd.column_stride);
-  accd(sweep.retention.min_trefw_ms);
-  accd(sweep.retention.max_trefw_ms);
-  acc(static_cast<std::uint64_t>(sweep.retention.num_iterations));
+  h = fold_sweep_fields(h, sweep);
   acc(sweep.vpp_levels.size());
   for (const double v : sweep.vpp_levels) acc(vpp_millivolts(v));
   acc(axes.temperatures_c.size());

@@ -389,8 +389,7 @@ struct ModuleCampaignResult {
   std::string error_message;
   /// Valid when completed.
   ModuleSweepResult sweep;
-  /// Injection tallies of the final attempt (what the module survived or
-  /// died to).
+  /// Injection tallies summed over every attempt, the failed ones included.
   softmc::FaultInjector::InjectionCounts injections;
   /// Replayable evidence of the failing session (quarantined modules only).
   bool has_dump = false;
@@ -442,7 +441,7 @@ class CampaignEngine {
   /// Alg. 3 over the grid (VPP x temperature).
   [[nodiscard]] common::Expected<std::vector<RetentionGrid>> run_retention();
 
-  /// The fault-tolerant RowHammer campaign: the harness retry/backoff policy
+  /// The fault-tolerant RowHammer campaign: the harness retry policy
   /// (harness/recovery) around each module's sweep, with `faults` injected
   /// by a deterministic FaultInjector standing in for the misbehaving
   /// silicon the paper's rig saw at reduced VPP. Each module gets a bounded
@@ -450,9 +449,10 @@ class CampaignEngine {
   /// re-salted fault draws, persistent ones (or an exhausted budget)
   /// quarantine it with its failure evidence. `trace_capacity` sizes every
   /// session's trace ring (the failing session's ring becomes the
-  /// quarantine dump). Uses the plan's sweep, modules and seed; serial by
-  /// design -- the failure evidence of attempt N must not interleave with
-  /// attempt N+1. Always returns a result: per-module failures are recorded
+  /// quarantine dump). A module's injection tallies sum all its attempts.
+  /// Uses the plan's sweep, modules and seed; serial by design -- the
+  /// failure evidence of attempt N must not interleave with attempt N+1.
+  /// Always returns a result: per-module failures are recorded
   /// as quarantines, never propagated as campaign failure.
   [[nodiscard]] CampaignResult run_resilient(
       const softmc::FaultPlan& faults, const harness::RetryPolicy& retry,

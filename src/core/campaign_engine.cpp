@@ -738,10 +738,10 @@ common::Expected<std::vector<RetentionGrid>> CampaignEngine::run_retention() {
 
 namespace {
 
-/// One full per-module RowHammer sweep (WCDP prep + every usable level),
-/// run serially in sessions that carry the attempt's fault injector and a
-/// trace ring. On failure, `failure_dump` holds the failing session's ring
-/// with the error recorded -- captured before the session is torn down.
+/// One full per-module RowHammer sweep (run_wcdp_prep + every usable
+/// level), run serially in sessions that carry the attempt's fault injector
+/// and a trace ring. On failure, `failure_dump` holds the failing session's
+/// ring with the error recorded -- captured before the session is torn down.
 /// The whole-cell job_stream_seed keying and the serial session-per-level
 /// structure are part of the resilient campaign's byte-compatibility
 /// contract (quarantine dumps replay command for command).
@@ -759,17 +759,6 @@ common::Expected<ModuleSweepResult> attempt_module_sweep(
   }
   const double nominal = levels.front();
 
-  const auto rig_session = [&](softmc::Session& session, double vpp_v,
-                               JobPhase phase) -> common::Status {
-    session.enable_trace(trace_capacity);
-    if (injector != nullptr) session.set_fault_injector(injector);
-    session.set_auto_refresh(false);
-    VPP_RETURN_IF_ERROR(session.set_temperature(common::kHammerTestTempC));
-    VPP_RETURN_IF_ERROR(session.set_vpp(vpp_v));
-    session.set_noise_stream(
-        job_stream_seed(seed, profile.seed, vpp_millivolts(vpp_v), phase));
-    return common::Status::ok_status();
-  };
   const auto fail = [&](softmc::Session& session,
                         common::Error error) -> common::Error {
     failure_dump = softmc::capture_trace_dump(session, &error);
@@ -789,30 +778,17 @@ common::Expected<ModuleSweepResult> attempt_module_sweep(
   std::vector<dram::DataPattern> wcdp;
   {
     softmc::Session session(profile);
-    if (auto st = rig_session(session, nominal, JobPhase::kWcdp); !st.ok()) {
-      return fail(session,
-                  std::move(st).error().with_module(profile.name).with_context(
-                      "wcdp session setup"));
-    }
+    session.enable_trace(trace_capacity);
+    if (injector != nullptr) session.set_fault_injector(injector);
     rows = sweep.sampling.sample(session.module().mapping());
+    auto prep = run_wcdp_prep(session, sweep, seed, nominal, rows);
+    if (!prep) return fail(session, std::move(prep).error());
     if (rows.empty()) {
       return fail(session,
                   Error{ErrorCode::kEmptySample, "row sampling produced no rows"}
                       .with_module(profile.name));
     }
-    if (sweep.determine_wcdp) {
-      auto found =
-          harness::find_wcdp_hammer_rows(session, sweep.sampling.bank, rows);
-      if (!found) {
-        return fail(session, std::move(found)
-                                 .error()
-                                 .with_module(profile.name)
-                                 .with_context("wcdp determination"));
-      }
-      wcdp = std::move(*found);
-    } else {
-      wcdp.assign(rows.size(), dram::DataPattern::kCheckerAA);
-    }
+    wcdp = std::move(prep->wcdp);
     instr.add_job(session.counters());
   }
   result.rows.resize(rows.size());
@@ -823,30 +799,35 @@ common::Expected<ModuleSweepResult> attempt_module_sweep(
 
   // Phase B: one session per VPP level, highest first.
   for (const double vpp : levels) {
+    const auto vpp_mv = static_cast<std::int64_t>(vpp_millivolts(vpp));
     softmc::Session session(profile);
-    if (auto st = rig_session(session, vpp, JobPhase::kRowHammer); !st.ok()) {
-      return fail(session,
-                  std::move(st)
-                      .error()
-                      .with_module(profile.name)
-                      .with_vpp_mv(
-                          static_cast<std::int64_t>(vpp_millivolts(vpp)))
-                      .with_context("hammer session setup"));
-    }
-    harness::RowHammerTest test(session, sweep.hammer);
-    auto level = test.test_rows(sweep.sampling.bank, rows, wcdp);
-    if (!level) {
-      return fail(session, std::move(level)
+    session.enable_trace(trace_capacity);
+    if (injector != nullptr) session.set_fault_injector(injector);
+    session.set_auto_refresh(false);
+    common::Status st = session.set_temperature(common::kHammerTestTempC);
+    if (st.ok()) st = session.set_vpp(vpp);
+    if (!st.ok()) {
+      return fail(session, std::move(st)
                                .error()
                                .with_module(profile.name)
-                               .with_vpp_mv(static_cast<std::int64_t>(
-                                   vpp_millivolts(vpp))));
+                               .with_vpp_mv(vpp_mv)
+                               .with_context("hammer session setup"));
+    }
+    session.set_noise_stream(job_stream_seed(
+        seed, profile.seed, vpp_millivolts(vpp), JobPhase::kRowHammer));
+    harness::RowHammerTest test(session, sweep.hammer);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      auto row = test.test_row(sweep.sampling.bank, rows[i], wcdp[i]);
+      if (!row) {
+        return fail(session, std::move(row)
+                                 .error()
+                                 .with_module(profile.name)
+                                 .with_vpp_mv(vpp_mv));
+      }
+      result.rows[i].hc_first.push_back(row->hc_first);
+      result.rows[i].ber.push_back(row->ber);
     }
     instr.add_job(session.counters());
-    for (std::size_t i = 0; i < level->size(); ++i) {
-      result.rows[i].hc_first.push_back((*level)[i].hc_first);
-      result.rows[i].ber.push_back((*level)[i].ber);
-    }
     result.instrumentation.add_job(session.counters());
   }
   return result;
@@ -900,7 +881,7 @@ CampaignResult CampaignEngine::run_resilient(const softmc::FaultPlan& faults,
                                         trace_capacity, active,
                                         campaign.instrumentation, outcome.dump,
                                         outcome.has_dump);
-      outcome.injections = injector.counts();
+      outcome.injections += injector.counts();
       if (sweep) {
         outcome.completed = true;
         outcome.error_code = ErrorCode::kUnknown;

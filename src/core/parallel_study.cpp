@@ -89,9 +89,8 @@ common::Expected<WcdpPrep> run_wcdp_prep(softmc::Session& session,
                                            JobPhase::kWcdp));
   WcdpPrep prep;
   if (sweep.determine_wcdp) {
-    auto wcdp = harness::find_wcdp_hammer_rows(
-        session, sweep.sampling.bank,
-        std::vector<std::uint32_t>(rows.begin(), rows.end()));
+    auto wcdp =
+        harness::find_wcdp_hammer_rows(session, sweep.sampling.bank, rows);
     if (!wcdp) {
       return std::move(wcdp).error().with_module(profile.name).with_context(
           "wcdp determination");

@@ -1,7 +1,11 @@
 #include "core/study.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <initializer_list>
+
+#include "common/rng.hpp"
 
 namespace vppstudy::core {
 
@@ -91,6 +95,33 @@ std::vector<double> ModuleSweepResult::normalized_ber_at(
     out.push_back(r.ber[level] / r.ber[0]);
   }
   return out;
+}
+
+std::uint64_t fold_sweep_fields(std::uint64_t h,
+                                const SweepConfig& sweep) noexcept {
+  for (const std::uint64_t w : std::initializer_list<std::uint64_t>{
+           sweep.sampling.bank,
+           sweep.sampling.chunks,
+           sweep.sampling.rows_per_chunk,
+           sweep.determine_wcdp ? 1u : 0u,
+           sweep.hammer.initial_hc,
+           sweep.hammer.initial_step,
+           sweep.hammer.min_step,
+           sweep.hammer.ber_hc,
+           static_cast<std::uint64_t>(sweep.hammer.num_iterations),
+           std::bit_cast<std::uint64_t>(sweep.hammer.act_to_act_ns),
+           std::bit_cast<std::uint64_t>(sweep.trcd.start_ns),
+           std::bit_cast<std::uint64_t>(sweep.trcd.step_ns),
+           std::bit_cast<std::uint64_t>(sweep.trcd.max_ns),
+           static_cast<std::uint64_t>(sweep.trcd.num_iterations),
+           sweep.trcd.column_stride,
+           std::bit_cast<std::uint64_t>(sweep.retention.min_trefw_ms),
+           std::bit_cast<std::uint64_t>(sweep.retention.max_trefw_ms),
+           static_cast<std::uint64_t>(sweep.retention.num_iterations),
+       }) {
+    h = common::hash_accumulate(h, w);
+  }
+  return h;
 }
 
 std::vector<double> usable_vpp_levels(const SweepConfig& config,

@@ -45,6 +45,14 @@ struct SweepConfig {
   [[nodiscard]] static SweepConfig quick();
 };
 
+/// Fold every result-affecting field of `sweep` except its VPP levels into
+/// the running hash `h` (common::hash_accumulate, one word per field) and
+/// return the new hash. CampaignPlan::digest and the vppd cache key
+/// (server::ResultCache::config_digest) both fold this one list, so a new
+/// field reaches both. The order is part of every persisted plan hash.
+[[nodiscard]] std::uint64_t fold_sweep_fields(
+    std::uint64_t h, const SweepConfig& sweep) noexcept;
+
 /// The subset of `config.vpp_levels` a module can actually run: levels below
 /// the module's VPPmin are dropped (the module stops responding, section 7).
 [[nodiscard]] std::vector<double> usable_vpp_levels(const SweepConfig& config,

@@ -2,8 +2,8 @@
 // At reduced wordline voltage the paper's modules intermittently drop off the
 // bus, corrupt reads, or reject commands (section 4.1); a long campaign
 // survives those by classifying each typed failure as transient (retry the
-// module's job with a bounded, backed-off attempt budget) or persistent
-// (quarantine the module and keep the partial results). The deterministic
+// module's job within a bounded attempt budget) or persistent (quarantine
+// the module and keep the partial results). The deterministic
 // counterpart of the faults themselves lives in softmc/fault_injector.
 #pragma once
 
@@ -30,24 +30,16 @@ enum class FaultClass : std::uint8_t {
 /// samples) that are pure functions of the inputs.
 [[nodiscard]] FaultClass classify_error(common::ErrorCode code) noexcept;
 
-/// Bounded-retry policy with exponential backoff. The backoff exists for
-/// real rigs (give a wedged module time to recover); the simulated harness
-/// records rather than sleeps it.
+/// Bounded-retry policy: an attempt budget. Retries run back to back, with
+/// no backoff between attempts.
 struct RetryPolicy {
   std::uint32_t max_attempts = 3;  ///< total attempts, first one included
-  double backoff_base_ms = 50.0;
 
   /// True when `code` is transient and attempts remain after `attempts_used`.
   [[nodiscard]] bool should_retry(common::ErrorCode code,
                                   std::uint32_t attempts_used) const noexcept {
     return attempts_used < max_attempts &&
            classify_error(code) == FaultClass::kTransient;
-  }
-  /// Backoff before retry attempt `attempt` (1-based): base * 2^(attempt-1).
-  [[nodiscard]] double backoff_ms(std::uint32_t attempt) const noexcept {
-    double ms = backoff_base_ms;
-    for (std::uint32_t i = 1; i < attempt; ++i) ms *= 2.0;
-    return ms;
   }
 };
 

@@ -62,17 +62,4 @@ common::Expected<RetentionWordCensus> RetentionTest::census_at(
   return rc;
 }
 
-common::Expected<std::vector<RetentionRowResult>> RetentionTest::test_rows(
-    std::uint32_t bank, std::span<const std::uint32_t> rows,
-    dram::DataPattern pattern) {
-  std::vector<RetentionRowResult> out;
-  out.reserve(rows.size());
-  for (const std::uint32_t row : rows) {
-    VPP_ASSIGN_OR_RETURN(RetentionRowResult rr,
-                         test_row(bank, row, pattern));
-    out.push_back(std::move(rr));
-  }
-  return out;
-}
-
 }  // namespace vppstudy::harness

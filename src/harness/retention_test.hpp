@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/expected.hpp"
@@ -47,12 +46,6 @@ class RetentionTest {
   /// Full Alg. 3 sweep for one row.
   [[nodiscard]] common::Expected<RetentionRowResult> test_row(
       std::uint32_t bank, std::uint32_t row, dram::DataPattern wcdp);
-
-  /// One (module, VPP level) job unit: Alg. 3 for every sampled row at the
-  /// session's current VPP, all with the same data pattern.
-  [[nodiscard]] common::Expected<std::vector<RetentionRowResult>> test_rows(
-      std::uint32_t bank, std::span<const std::uint32_t> rows,
-      dram::DataPattern pattern);
 
   /// The Obsv. 14/15 analysis unit: word-level error census at one window.
   [[nodiscard]] common::Expected<RetentionWordCensus> census_at(

@@ -91,20 +91,4 @@ common::Expected<RowHammerRowResult> RowHammerTest::test_row(
   return result;
 }
 
-common::Expected<std::vector<RowHammerRowResult>> RowHammerTest::test_rows(
-    std::uint32_t bank, std::span<const std::uint32_t> rows,
-    std::span<const dram::DataPattern> wcdp) {
-  if (rows.size() != wcdp.size()) {
-    return Error{ErrorCode::kInvalidArgument, "rows/wcdp size mismatch"};
-  }
-  std::vector<RowHammerRowResult> out;
-  out.reserve(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    VPP_ASSIGN_OR_RETURN(RowHammerRowResult rr,
-                         test_row(bank, rows[i], wcdp[i]));
-    out.push_back(std::move(rr));
-  }
-  return out;
-}
-
 }  // namespace vppstudy::harness

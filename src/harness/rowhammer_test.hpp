@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "common/expected.hpp"
 #include "dram/data_pattern.hpp"
@@ -46,13 +44,6 @@ class RowHammerTest {
   /// Full Alg. 1 for one row: HCfirst search plus BER at the fixed count.
   [[nodiscard]] common::Expected<RowHammerRowResult> test_row(
       std::uint32_t bank, std::uint32_t victim_row, dram::DataPattern wcdp);
-
-  /// One (module, VPP level) job unit: Alg. 1 for every sampled row at the
-  /// session's current VPP. `wcdp` is parallel to `rows` (section 4.1: the
-  /// per-row worst-case pattern, determined once at nominal VPP).
-  [[nodiscard]] common::Expected<std::vector<RowHammerRowResult>> test_rows(
-      std::uint32_t bank, std::span<const std::uint32_t> rows,
-      std::span<const dram::DataPattern> wcdp);
 
   [[nodiscard]] const RowHammerConfig& config() const noexcept {
     return config_;

@@ -67,16 +67,4 @@ common::Expected<TrcdRowResult> TrcdTest::test_row(std::uint32_t bank,
   return result;
 }
 
-common::Expected<std::vector<TrcdRowResult>> TrcdTest::test_rows(
-    std::uint32_t bank, std::span<const std::uint32_t> rows,
-    dram::DataPattern pattern) {
-  std::vector<TrcdRowResult> out;
-  out.reserve(rows.size());
-  for (const std::uint32_t row : rows) {
-    VPP_ASSIGN_OR_RETURN(TrcdRowResult rr, test_row(bank, row, pattern));
-    out.push_back(rr);
-  }
-  return out;
-}
-
 }  // namespace vppstudy::harness

@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "common/expected.hpp"
 #include "dram/data_pattern.hpp"
@@ -42,12 +40,6 @@ class TrcdTest {
   /// Full Alg. 2 for one row.
   [[nodiscard]] common::Expected<TrcdRowResult> test_row(
       std::uint32_t bank, std::uint32_t row, dram::DataPattern wcdp);
-
-  /// One (module, VPP level) job unit: Alg. 2 for every sampled row at the
-  /// session's current VPP, all with the same data pattern.
-  [[nodiscard]] common::Expected<std::vector<TrcdRowResult>> test_rows(
-      std::uint32_t bank, std::span<const std::uint32_t> rows,
-      dram::DataPattern pattern);
 
  private:
   softmc::Session& session_;

@@ -1,46 +1,18 @@
 #include "server/result_cache.hpp"
 
-#include <bit>
-
 #include "common/rng.hpp"
 
 namespace vppstudy::server {
-
-namespace {
-
-std::uint64_t bits(double v) noexcept {
-  return std::bit_cast<std::uint64_t>(v);
-}
-
-}  // namespace
 
 std::uint64_t ResultCache::config_digest(const core::SweepConfig& sweep,
                                          std::uint64_t seed) {
   const std::uint64_t nominal_mv =
       sweep.vpp_levels.empty() ? 0
                                : core::vpp_millivolts(sweep.vpp_levels.front());
-  return common::hash_key({
-      0x76707064ULL,  // "vppd" domain separator
-      seed,
-      nominal_mv,
-      sweep.sampling.bank,
-      sweep.sampling.chunks,
-      sweep.sampling.rows_per_chunk,
-      sweep.determine_wcdp ? 1ULL : 0ULL,
-      sweep.hammer.initial_hc,
-      sweep.hammer.initial_step,
-      sweep.hammer.min_step,
-      sweep.hammer.ber_hc,
-      static_cast<std::uint64_t>(sweep.hammer.num_iterations),
-      bits(sweep.trcd.start_ns),
-      bits(sweep.trcd.step_ns),
-      bits(sweep.trcd.max_ns),
-      static_cast<std::uint64_t>(sweep.trcd.num_iterations),
-      sweep.trcd.column_stride,
-      bits(sweep.retention.min_trefw_ms),
-      bits(sweep.retention.max_trefw_ms),
-      static_cast<std::uint64_t>(sweep.retention.num_iterations),
-  });
+  return core::fold_sweep_fields(
+      common::hash_key({0x76707064ULL,  // "vppd" domain separator
+                        seed, nominal_mv}),
+      sweep);
 }
 
 std::uint64_t ResultCache::cell_key(std::uint64_t digest, core::JobPhase phase,

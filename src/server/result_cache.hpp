@@ -69,7 +69,8 @@ class ResultCache {
   /// Digest of every result-affecting request-level input: the campaign
   /// seed, the row sampling (which pins the sampled row set), the nominal
   /// VPP level (the WCDP pass's operating point), and all three phase
-  /// configs. The per-cell axes -- phase, module, VPP level, row -- are NOT
+  /// configs (core::fold_sweep_fields, the list CampaignPlan::digest
+  /// folds too). The per-cell axes -- phase, module, VPP level, row -- are NOT
   /// in the digest; they are the key's other components, which is what lets
   /// requests with different level grids share cells.
   [[nodiscard]] static std::uint64_t config_digest(

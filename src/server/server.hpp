@@ -108,7 +108,7 @@ class Server {
   std::thread accept_thread_;
 };
 
-/// Options of the vppd daemon front ends (tools/vppd and `vppctl serve`).
+/// Options of the vppd daemon (tools/vppd).
 struct DaemonOptions {
   Server::Config config;
   /// When non-empty, the bound port is published here (written to a temp

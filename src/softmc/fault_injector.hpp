@@ -103,6 +103,16 @@ class FaultInjector final : public SessionObserver, public CommandInterceptor {
       return dropped_acts + duplicated_acts + dropped_reads +
              corrupted_reads + delayed_pres + spurious_errors;
     }
+    InjectionCounts& operator+=(const InjectionCounts& other) noexcept {
+      dropped_acts += other.dropped_acts;
+      duplicated_acts += other.duplicated_acts;
+      dropped_reads += other.dropped_reads;
+      corrupted_reads += other.corrupted_reads;
+      flipped_bits += other.flipped_bits;
+      delayed_pres += other.delayed_pres;
+      spurious_errors += other.spurious_errors;
+      return *this;
+    }
     friend bool operator==(const InjectionCounts&,
                            const InjectionCounts&) = default;
   };

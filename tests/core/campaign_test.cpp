@@ -18,6 +18,7 @@
 #include "chips/module_db.hpp"
 #include "core/campaign.hpp"
 #include "core/export.hpp"
+#include "harness/pattern_spec.hpp"
 
 namespace vppstudy::core {
 namespace {
@@ -211,6 +212,20 @@ TEST(CampaignManifest, CheckpointRoundTripsAndBindsToPlan) {
   ASSERT_TRUE(rebuilt.has_value()) << rebuilt.error().to_string();
   EXPECT_EQ(rebuilt->digest(JobPhase::kRowHammer), hash);
   std::remove(path.c_str());
+}
+
+// Manifests, lease ledgers and vppd manifest file names persist the plan
+// digest, so a reordered or extended field fold must fail here.
+TEST(CampaignManifest, PlanDigestIsPinned) {
+  CampaignPlan plan;
+  plan.sweep = SweepConfig::quick();
+  plan.modules = {chips::profile_by_name("B3").value(),
+                  chips::profile_by_name("A0").value()};
+  plan.seed = 7;
+  plan.axes.temperatures_c = {50.0, 65.0};
+  plan.axes.patterns = {harness::uniform_double_sided_spec()};
+  EXPECT_EQ(plan.digest(JobPhase::kRowHammer), 0x18b51e38b993336dULL)
+      << std::hex << "0x" << plan.digest(JobPhase::kRowHammer);
 }
 
 TEST(CampaignManifest, ResumeWithDifferentPlanIsRejected) {

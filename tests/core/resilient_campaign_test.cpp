@@ -28,7 +28,7 @@ namespace {
 constexpr const char* kMixedFaultSpec =
     "seed=7;drop_read=0.00001;flip_read=0.0002,bits=2;dup_act=0.0004;"
     "delay_pre=0.2,ns=9";
-constexpr std::uint64_t kMixedFaultDigest = 0x94e2a06d78548f35ULL;
+constexpr std::uint64_t kMixedFaultDigest = 0xb2c1d08fb8f30639ULL;
 
 dram::ModuleProfile small_profile(const char* name = "B3") {
   auto p = chips::profile_by_name(name).value();
@@ -126,6 +126,17 @@ TEST(ResilientStudy, TransientFaultBurnsRetryBudgetAndKeepsEvidence) {
             std::string::npos);
 }
 
+TEST(ResilientStudy, InjectionCountsCoverEveryAttempt) {
+  // The scheduled drop_act fires once per attempt. The module's tallies sum
+  // both attempts, not just the last one.
+  const CampaignResult campaign = run_tiny_campaign("seed=3;drop_act@0");
+  ASSERT_EQ(campaign.modules.size(), 1u);
+  const ModuleCampaignResult& m = campaign.modules[0];
+  ASSERT_EQ(m.attempts, 2u);
+  EXPECT_EQ(m.injections.dropped_acts, 2u);
+  EXPECT_EQ(m.injections.total(), 2u);
+}
+
 TEST(ResilientStudy, SeededCampaignIsBitReproducible) {
   // Probability-based faults draw from (seed, attempt, kind, index) only, so
   // two identical invocations produce byte-identical exports -- the same
@@ -153,9 +164,9 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& text) {
 TEST(ResilientStudy, MixedFaultPlanOutputIsPinned) {
   // The other tests check that a seeded campaign reproduces itself; this
   // one pins its bytes, so a change to how faulted commands are dispatched
-  // cannot alter the exports or the quarantine evidence unnoticed. The
-  // constant was recorded before the row transfers lost their Program
-  // fallback; a deliberate change to fault semantics must re-record it.
+  // cannot alter the exports or the quarantine evidence unnoticed. A
+  // deliberate change to fault semantics or to the exported tallies must
+  // re-record the constant.
   CampaignPlan plan;
   plan.sweep = SweepConfig::quick();
   plan.sweep.vpp_levels = {2.5, 1.9};

@@ -304,6 +304,10 @@ TEST(ServerProtocol, ConfigDigestPinsEveryResultAffectingField) {
   retention.retention.min_trefw_ms *= 2.0;
   EXPECT_NE(ResultCache::config_digest(retention, 0), digest);
 
+  core::SweepConfig on_time = base;
+  on_time.hammer.act_to_act_ns = 90.0;
+  EXPECT_NE(ResultCache::config_digest(on_time, 0), digest);
+
   // The level grid is deliberately NOT in the digest: that is what lets
   // overlapping grids (step 0.4 vs 0.2) share cells.
   core::SweepConfig levels = base;

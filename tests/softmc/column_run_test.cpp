@@ -22,7 +22,6 @@
 #include "dram/data_pattern.hpp"
 #include "dram/types.hpp"
 #include "softmc/fault_injector.hpp"
-#include "softmc/program_text.hpp"
 #include "softmc/session.hpp"
 
 namespace vppstudy::softmc {
@@ -191,30 +190,28 @@ TEST(ColumnRunEquivalence, ReadRowBelowSpecTrcdFlagsInsideTheRun) {
 TEST(ColumnRunEquivalence, ProgramTextMixingBanksKindsAndBadColumn) {
   Rig runs(false);
   Rig reference(true);
-  const std::string text =
-      "ACT 0 10\n"
-      "ACT 1 20 @3\n"
-      "WR 0 0 00112233445566ff @15\n"
-      "WR 0 1 0123456789abcdef @6\n"
-      "WR 0 2 fedcba9876543210 @6\n"
-      "WR 1 0 a5a5a5a5a5a5a5a5 @6\n"
-      "WR 1 1 5a5a5a5a5a5a5a5a @6\n"
-      "RD 0 2 @6\n"
-      "RD 0 1 @6\n"
-      "RD 0 0 @6\n"
-      "WAIT 10\n"
-      "RD 0 1 @6\n"
-      "RD 1 0 @1.5\n"
-      "RD 1 1 @1.5\n"
-      "RD 1 5 @1.5\n"
-      "RD 1 1024 @1.5\n"  // out of range: aborts mid-run
-      "RD 1 6 @1.5\n"
-      "PRE 0\n"
-      "PRE 1\n";
-  auto program = program_from_text(text, runs.session.timing());
-  ASSERT_TRUE(program.has_value()) << program.error().message;
-  runs.run(*program);
-  reference.run(*program);
+  Program program(runs.session.timing());
+  program.act(0, 10)
+      .act(1, 20, 3)
+      .wr(0, 0, {0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0xff}, 15)
+      .wr(0, 1, {0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef}, 6)
+      .wr(0, 2, {0xfe, 0xdc, 0xba, 0x98, 0x76, 0x54, 0x32, 0x10}, 6)
+      .wr(1, 0, {0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5}, 6)
+      .wr(1, 1, {0x5a, 0x5a, 0x5a, 0x5a, 0x5a, 0x5a, 0x5a, 0x5a}, 6)
+      .rd(0, 2, 6)
+      .rd(0, 1, 6)
+      .rd(0, 0, 6)
+      .wait_ns(10)
+      .rd(0, 1, 6)
+      .rd(1, 0, 1.5)
+      .rd(1, 1, 1.5)
+      .rd(1, 5, 1.5)
+      .rd(1, 1024, 1.5)  // out of range: aborts mid-run
+      .rd(1, 6, 1.5)
+      .pre(0)
+      .pre(1);
+  runs.run(program);
+  reference.run(program);
   expect_equivalent(runs, reference);
   const ExecutionResult& r = runs.results.front();
   ASSERT_FALSE(r.status.ok());

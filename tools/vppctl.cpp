@@ -33,13 +33,6 @@
 //       it reproduces the recorded outcome. Exit 0 when reproduced, 4 when
 //       the replay diverged, 3 on a typed error. --connect ships the dump
 //       text to a vppd daemon and replays there.
-//   vppctl serve   [--port N] [--port-file PATH] [--jobs N]
-//                  [--rows-per-shard N] [--queue-cap N] [--quota N]
-//                  [--dispatchers N] [--manifest-dir DIR]
-//       Run the vppd daemon in-process (same server as tools/vppd): serves
-//       sweep/inject/replay over the length-prefixed JSON protocol with a
-//       content-addressed result cache. Runs until a client sends
-//       `shutdown`. Exit 0 on clean shutdown, 3 on a startup error.
 //   vppctl campaign run    [--manifest PATH] --module B3 [--modules B3,A0]
 //                          [--test rowhammer|trcd|retention] [--rows 16]
 //                          [--step 0.2] [--temps 50,65,80]
@@ -1325,30 +1318,10 @@ int cmd_fuzz(int argc, char** argv) {
   return 2;
 }
 
-int cmd_serve(const std::map<std::string, std::string>& flags) {
-  server::DaemonOptions options;
-  options.config.port = static_cast<std::uint16_t>(
-      std::atoi(flag_or(flags, "port", "0").c_str()));
-  options.port_file = flag_or(flags, "port-file", "");
-  options.config.service.jobs = std::atoi(flag_or(flags, "jobs", "0").c_str());
-  options.config.service.rows_per_shard = static_cast<std::uint32_t>(
-      std::atoi(flag_or(flags, "rows-per-shard", "4").c_str()));
-  options.config.queue.capacity = static_cast<std::size_t>(
-      std::atoll(flag_or(flags, "queue-cap", "16").c_str()));
-  options.config.queue.per_client_quota = static_cast<std::size_t>(
-      std::atoll(flag_or(flags, "quota", "8").c_str()));
-  options.config.service.manifest_dir = flag_or(flags, "manifest-dir", "");
-  options.config.service.cache_max_cells = static_cast<std::uint64_t>(
-      std::atoll(flag_or(flags, "cache-max-cells", "0").c_str()));
-  options.config.queue.dispatchers = static_cast<unsigned>(
-      std::atoi(flag_or(flags, "dispatchers", "2").c_str()));
-  return server::run_daemon(options);
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: vppctl "
-               "<list|hammer|sweep|campaign|fuzz|profile|inject|replay|serve> "
+               "<list|hammer|sweep|campaign|fuzz|profile|inject|replay> "
                "[--flag value ...]\n"
                "see the header comment of tools/vppctl.cpp for details\n");
   return 2;
@@ -1367,7 +1340,6 @@ int main(int argc, char** argv) {
   if (cmd == "fuzz") return cmd_fuzz(argc, argv);
   if (cmd == "profile") return cmd_profile(flags);
   if (cmd == "inject") return cmd_inject(flags);
-  if (cmd == "serve") return cmd_serve(flags);
   if (cmd == "replay") {
     if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) return usage();
     return cmd_replay(argv[2], parse_flags(argc, argv, 3));
