@@ -24,7 +24,7 @@ using common::JsonValue;
 
 softmc::Session& SessionArena::acquire(const dram::ModuleProfile& profile) {
   auto& slot = sessions[profile.name];
-  if (slot) {
+  if (slot && slot->module().profile() == profile) {
     slot->reset_for_job();
   } else {
     slot = std::make_unique<softmc::Session>(profile);

@@ -9,7 +9,7 @@
 // (core/axis.hpp explains the seed-normalization rule that makes this hold),
 // and each grid's to_sweep() reduces it to the per-module result structs of
 // core/study.hpp. CampaignEngine::run_resilient is the retry/quarantine form
-// of the RowHammer campaign under injected faults.
+// of the RowHammer campaign under injected faults, on the same pipeline.
 //
 // Layers the engine composes:
 //
@@ -187,7 +187,9 @@ class CellStore {
 };
 
 /// One reusable rig session per (worker, module name). Shared by the engine
-/// and the vppd service (which serves many requests, hence name keying).
+/// and the vppd service (many requests, hence name keying; a slot whose
+/// profile differs from the requested one, as inject's smaller bank does, is
+/// rebuilt).
 struct SessionArena {
   std::map<std::string, std::unique_ptr<softmc::Session>> sessions;
   softmc::Session& acquire(const dram::ModuleProfile& profile);
@@ -383,15 +385,15 @@ void campaign_checkpoint_written();
 struct ModuleCampaignResult {
   std::string module_name;
   bool completed = false;
-  std::uint32_t attempts = 0;  ///< sessions-of-record: 1 + retries
+  std::uint32_t attempts = 0;  ///< the most any one of its jobs used
   /// The final failure (quarantined modules only).
   common::ErrorCode error_code = common::ErrorCode::kUnknown;
   std::string error_message;
   /// Valid when completed.
   ModuleSweepResult sweep;
-  /// Injection tallies summed over every attempt, the failed ones included.
+  /// Injection tallies of every attempt of every job, failed ones included.
   softmc::FaultInjector::InjectionCounts injections;
-  /// Replayable evidence of the failing session (quarantined modules only).
+  /// Replayable evidence of the failing job (quarantined modules only).
   bool has_dump = false;
   softmc::TraceDump dump;
 };
@@ -401,7 +403,7 @@ struct ModuleCampaignResult {
 /// export via core/export's campaign CSV/JSON with explicit status markers.
 struct CampaignResult {
   std::vector<ModuleCampaignResult> modules;  ///< plan order
-  /// All sessions the campaign ran, failed attempts included, with retry
+  /// All job attempts the campaign ran, failed ones included, with retry
   /// and quarantine accounting.
   SweepInstrumentation instrumentation;
   std::vector<harness::QuarantineRecord> quarantines;
@@ -441,19 +443,18 @@ class CampaignEngine {
   /// Alg. 3 over the grid (VPP x temperature).
   [[nodiscard]] common::Expected<std::vector<RetentionGrid>> run_retention();
 
-  /// The fault-tolerant RowHammer campaign: the harness retry policy
-  /// (harness/recovery) around each module's sweep, with `faults` injected
-  /// by a deterministic FaultInjector standing in for the misbehaving
-  /// silicon the paper's rig saw at reduced VPP. Each module gets a bounded
-  /// attempt budget; transient typed failures re-run the module with
-  /// re-salted fault draws, persistent ones (or an exhausted budget)
-  /// quarantine it with its failure evidence. `trace_capacity` sizes every
-  /// session's trace ring (the failing session's ring becomes the
-  /// quarantine dump). A module's injection tallies sum all its attempts.
-  /// Uses the plan's sweep, modules and seed; serial by design -- the
-  /// failure evidence of attempt N must not interleave with attempt N+1.
-  /// Always returns a result: per-module failures are recorded
-  /// as quarantines, never propagated as campaign failure.
+  /// The fault-tolerant RowHammer campaign: run_hammer's grid with `faults`
+  /// injected by deterministic FaultInjectors standing in for the
+  /// misbehaving silicon the paper's rig saw at reduced VPP. Each job (a
+  /// module's WCDP prep or one unit) has its own injector, seeded from (fault
+  /// plan seed, module seed, job key), and retries in place under the
+  /// harness retry policy (harness/recovery). A job that fails persistently
+  /// or exhausts its budget quarantines its module, with the trace dump of
+  /// the first such job in (module, point, shard) order; `trace_capacity`
+  /// sizes every attempt's trace ring. Byte-identical at any jobs count.
+  /// Ignores the manifest and the CellStore: a faulted row is not a pure
+  /// function of its cell key. Always returns a result: per-module failures
+  /// are recorded as quarantines, never propagated as campaign failure.
   [[nodiscard]] CampaignResult run_resilient(
       const softmc::FaultPlan& faults, const harness::RetryPolicy& retry,
       std::size_t trace_capacity);

@@ -2,9 +2,9 @@
 // units, and one unit pipeline -- the layered resolve order (manifest ->
 // CellStore -> compute) and the deterministic drain -- that runs the whole
 // grid for CampaignEngine::run_* (with checkpoint journal, compaction and
-// grid assembly) and a leased index subset for run_campaign_shards (no
-// checkpoint; records returned to the coordinator). Manifest/plan
-// serialization lives in campaign.cpp.
+// grid assembly), a leased index subset for run_campaign_shards (no
+// checkpoint; records returned to the coordinator), and run_resilient's
+// fault-injected grid. Manifest/plan serialization lives in campaign.cpp.
 #include <algorithm>
 #include <future>
 #include <memory>
@@ -13,12 +13,9 @@
 #include <utility>
 
 #include "common/rng.hpp"
-#include "common/units.hpp"
 #include "core/campaign.hpp"
 #include "core/campaign_journal.hpp"
 #include "core/campaign_lease.hpp"
-#include "harness/rowhammer_test.hpp"
-#include "harness/wcdp.hpp"
 #include "softmc/session.hpp"
 #include "stats/descriptive.hpp"
 
@@ -64,29 +61,37 @@ struct ModulePlan {
   std::vector<ShardSpec> shards;
 };
 
+common::Expected<ModulePlan> plan_module(const CampaignPlan& plan,
+                                         const dram::ModuleProfile& profile,
+                                         JobPhase phase) {
+  const std::vector<double> levels =
+      usable_vpp_levels(plan.sweep, profile.vppmin_v);
+  if (levels.empty()) {
+    return Error{ErrorCode::kNoUsableLevels,
+                 "no usable VPP levels for module " + profile.name}
+        .with_module(profile.name);
+  }
+  ModulePlan out;
+  out.nominal_vpp = levels.front();
+  out.points = plan.axes.points_for(levels, phase, plan.sweep.hammer.ber_hc);
+  auto rows = sample_campaign_rows(profile, plan.sweep.sampling);
+  if (rows.empty()) {
+    return Error{ErrorCode::kEmptySample, "row sampling produced no rows"}
+        .with_module(profile.name);
+  }
+  out.shards = shard_ranges(rows.size(), plan.rows_per_shard);
+  out.rows =
+      std::make_shared<const std::vector<std::uint32_t>>(std::move(rows));
+  return out;
+}
+
 common::Expected<std::vector<ModulePlan>> plan_modules(
     const CampaignPlan& plan, JobPhase phase) {
-  std::vector<ModulePlan> plans(plan.modules.size());
-  for (std::size_t m = 0; m < plan.modules.size(); ++m) {
-    const dram::ModuleProfile& profile = plan.modules[m];
-    const std::vector<double> levels =
-        usable_vpp_levels(plan.sweep, profile.vppmin_v);
-    if (levels.empty()) {
-      return Error{ErrorCode::kNoUsableLevels,
-                   "no usable VPP levels for module " + profile.name}
-          .with_module(profile.name);
-    }
-    plans[m].nominal_vpp = levels.front();
-    plans[m].points =
-        plan.axes.points_for(levels, phase, plan.sweep.hammer.ber_hc);
-    auto rows = sample_campaign_rows(profile, plan.sweep.sampling);
-    if (rows.empty()) {
-      return Error{ErrorCode::kEmptySample, "row sampling produced no rows"}
-          .with_module(profile.name);
-    }
-    plans[m].shards = shard_ranges(rows.size(), plan.rows_per_shard);
-    plans[m].rows =
-        std::make_shared<const std::vector<std::uint32_t>>(std::move(rows));
+  std::vector<ModulePlan> plans;
+  plans.reserve(plan.modules.size());
+  for (const dram::ModuleProfile& profile : plan.modules) {
+    VPP_ASSIGN_OR_RETURN(ModulePlan module, plan_module(plan, profile, phase));
+    plans.push_back(std::move(module));
   }
   return plans;
 }
@@ -273,6 +278,57 @@ struct RetentionTraits {
   }
 };
 
+// --- Fault campaigns ---------------------------------------------------------
+
+/// The fault context of CampaignEngine::run_resilient: the plan every job's
+/// injector derives from, the per-job retry budget, and the trace-ring size.
+struct FaultCtx {
+  const softmc::FaultPlan& plan;
+  const harness::RetryPolicy& retry;
+  std::size_t trace_capacity = 0;
+};
+
+/// What one job of a fault campaign did over all its attempts.
+struct JobFaults {
+  std::uint64_t seed = 0;     ///< its injector's plan seed (set at submit)
+  std::uint32_t attempts = 0; ///< 0: the job never ran
+  softmc::FaultInjector::InjectionCounts injections;
+  SweepInstrumentation instrumentation;  ///< one job per attempt, + retries
+  std::optional<Error> error;  ///< the final attempt's failure
+  softmc::TraceDump dump;      ///< that attempt's trace ring
+};
+
+/// Run one job's `body` on its worker's arena session. Without a fault
+/// context that is all. With one, each attempt gets a fresh session with a
+/// trace ring and the job's injector re-salted by attempt number, and the
+/// job retries in place until it succeeds or the retry policy says stop;
+/// `job` records every attempt and the last failure's trace dump.
+template <typename Body>
+auto run_job(SessionArena& arena, const dram::ModuleProfile& profile,
+             const FaultCtx* faults, JobFaults* job, Body&& body) {
+  if (faults == nullptr) return body(arena.acquire(profile));
+  softmc::FaultPlan plan = faults->plan;
+  plan.seed = job->seed;
+  softmc::FaultInjector injector(std::move(plan));
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    softmc::Session& session = arena.acquire(profile);
+    session.enable_trace(faults->trace_capacity);
+    injector.set_attempt(attempt);
+    if (!faults->plan.empty()) session.set_fault_injector(&injector);
+    auto result = body(session);
+    session.set_fault_injector(nullptr);
+    job->attempts = attempt + 1;
+    job->injections += injector.counts();
+    job->instrumentation.add_job(session.counters());
+    if (attempt > 0) ++job->instrumentation.retries;
+    if (result) return result;
+    if (faults->retry.should_retry(result.error().code, attempt + 1)) continue;
+    job->error = result.error();
+    job->dump = softmc::capture_trace_dump(session, &*job->error);
+    return result;
+  }
+}
+
 /// Resolved WCDP prep of one module (hammer phase A): restored from a
 /// manifest or CellStore, or computed by a prep job.
 struct PrepState {
@@ -281,6 +337,7 @@ struct PrepState {
   softmc::CommandCounts counts;
   bool restored = false;   ///< already recorded in the manifest
   bool submitted = false;  ///< a prep job is in flight
+  bool failed = false;     ///< the prep job failed: no unit of it runs
   std::future<common::Expected<WcdpPrep>> future;
 };
 
@@ -354,23 +411,32 @@ struct UnitState {
 /// the whole grid for CampaignEngine::run_*, a leased subset for
 /// run_campaign_shards. run() resolves the WCDP prep of every module the
 /// units reference, then every unit, each in the layered order manifest ->
-/// CellStore -> compute, and drains them in list order.
+/// CellStore -> compute, and drains them in list order. With a fault context
+/// (run_resilient), a failed job is recorded in prep_faults / unit_faults
+/// instead of failing the run, and a failed prep skips its module's units.
 template <typename Traits>
 struct UnitPipeline {
   static constexpr bool kHasPrep = Traits::kPhase == JobPhase::kRowHammer;
 
   UnitPipeline(const CampaignPlan& plan_in, std::vector<ModulePlan> plans_in,
-               std::vector<UnitRef> refs_in)
+               std::vector<UnitRef> refs_in,
+               const FaultCtx* faults_in = nullptr)
       : plan(plan_in),
         plans(std::move(plans_in)),
         refs(std::move(refs_in)),
-        preps(plans.size()) {}
+        faults(faults_in),
+        preps(plans.size()),
+        prep_faults(faults != nullptr ? plans.size() : 0),
+        unit_faults(faults != nullptr ? refs.size() : 0) {}
 
   const CampaignPlan& plan;
   std::vector<ModulePlan> plans;
   std::vector<UnitRef> refs;
+  const FaultCtx* faults = nullptr;
   std::vector<PrepState> preps;          ///< per module
   std::vector<UnitState<Traits>> units;  ///< parallel to refs
+  std::vector<JobFaults> prep_faults;    ///< per module (fault context only)
+  std::vector<JobFaults> unit_faults;    ///< parallel to refs (ditto)
 
   /// The records of a resolved prep and unit, shared by the journal
   /// appends, the compaction and the leased batch.
@@ -448,12 +514,22 @@ common::Status UnitPipeline<Traits>::run(
         break;
       }
       preps[m].submitted = true;
+      JobFaults* job = nullptr;
+      if (faults != nullptr) {
+        job = &prep_faults[m];
+        job->seed = common::hash_key(
+            {faults->plan.seed, profile.seed,
+             static_cast<std::uint64_t>(JobPhase::kWcdp)});
+      }
       preps[m].future = pool.submit(
-          [&arenas, &pool, &profile, &sweep, seed,
+          [&arenas, &pool, &profile, &sweep, seed, faults = faults, job,
            nominal = plans[m].nominal_vpp,
            rows = plans[m].rows]() -> common::Expected<WcdpPrep> {
-            return run_wcdp_prep(arenas.local(pool).acquire(profile), sweep,
-                                 seed, nominal, *rows);
+            return run_job(arenas.local(pool), profile, faults, job,
+                           [&](softmc::Session& session) {
+                             return run_wcdp_prep(session, sweep, seed,
+                                                  nominal, *rows);
+                           });
           });
     }
   }
@@ -474,8 +550,9 @@ common::Status UnitPipeline<Traits>::run(
       if (u == 0 || refs[u - 1].m != m) {
         if (preps[m].submitted) {
           auto prep = preps[m].future.get();
-          if (!prep) {
-            if (!first_error) first_error = std::move(prep).error();
+          if (!prep) {  // a fault campaign records it in prep_faults[m]
+            preps[m].failed = true;
+            if (!faults && !first_error) first_error = std::move(prep).error();
             continue;
           }
           preps[m].wcdp = std::move(prep->wcdp);
@@ -490,7 +567,7 @@ common::Status UnitPipeline<Traits>::run(
         }
       }
     }
-    if (first_error) continue;  // keep draining preps; stop submitting units
+    if (first_error || preps[m].failed) continue;  // keep draining preps
 
     const AxisPoint& point = plans[m].points[p];
     const ShardSpec shard = plans[m].shards[s];
@@ -533,13 +610,24 @@ common::Status UnitPipeline<Traits>::run(
     }
     ++new_shards;
     unit.submitted = true;
+    JobFaults* job = nullptr;
+    if (faults != nullptr) {
+      job = &unit_faults[u];
+      job->seed = common::hash_key(
+          {point_stream_seed(faults->plan.seed, profile.seed, Traits::kPhase,
+                             static_cast<std::uint32_t>(shard.begin), point),
+           shard.end});
+    }
     unit.future = pool.submit(
         [&arenas, &pool, &profile, &sweep, &axes = plan.axes, seed, point,
-         cancel = plan.cancel, missing = unit.missing,
+         cancel = plan.cancel, faults = faults, job, missing = unit.missing,
          wcdp = std::move(missing_wcdp)] {
-          return Traits::run(arenas.local(pool).acquire(profile), sweep, axes,
-                             seed, point, std::span(missing), std::span(wcdp),
-                             cancel);
+          return run_job(arenas.local(pool), profile, faults, job,
+                         [&](softmc::Session& session) {
+                           return Traits::run(session, sweep, axes, seed, point,
+                                              std::span(missing),
+                                              std::span(wcdp), cancel);
+                         });
         });
   }
 
@@ -561,8 +649,8 @@ common::Status UnitPipeline<Traits>::run(
     }
     if (unit.submitted) {
       auto cell = unit.future.get();
-      if (!cell) {
-        if (!first_error) first_error = std::move(cell).error();
+      if (!cell) {  // a fault campaign records it in unit_faults[u]
+        if (!faults && !first_error) first_error = std::move(cell).error();
         continue;
       }
       unit.counted = true;
@@ -585,6 +673,51 @@ common::Status UnitPipeline<Traits>::run(
   }
   if (first_error) return *std::move(first_error);
   return common::Status::ok_status();
+}
+
+/// Assembly in (module, point, shard) order, moving the unit rows out of
+/// `pipeline`: instrumentation job order and per-row series match the
+/// pre-engine drivers exactly. In run_resilient, an unplanned module's grid
+/// stays empty and a quarantined one keeps default rows where units failed.
+template <typename Traits>
+std::vector<typename Traits::Grid> assemble_grids(
+    const CampaignPlan& plan, UnitPipeline<Traits>& pipeline) {
+  std::vector<typename Traits::Grid> grids(pipeline.plans.size());
+  for (std::size_t m = 0; m < pipeline.plans.size(); ++m) {
+    if (pipeline.plans[m].rows == nullptr) continue;
+    const dram::ModuleProfile& profile = plan.modules[m];
+    typename Traits::Grid& grid = grids[m];
+    grid.module_name = profile.name;
+    if constexpr (std::is_same_v<typename Traits::Grid, HammerGrid>) {
+      grid.mfr = profile.mfr;
+      grid.vppmin_v = profile.vppmin_v;
+      grid.wcdp = pipeline.preps[m].wcdp;
+      if (pipeline.preps[m].counted) {
+        grid.instrumentation.add_job(pipeline.preps[m].counts);
+      }
+    } else if constexpr (std::is_same_v<typename Traits::Grid, TrcdGrid>) {
+      grid.vppmin_v = profile.vppmin_v;
+    } else {
+      grid.mfr = profile.mfr;
+    }
+    grid.rows = *pipeline.plans[m].rows;
+    grid.points = pipeline.plans[m].points;
+    grid.cells.assign(
+        grid.points.size(),
+        std::vector<typename Traits::RowResult>(grid.rows.size()));
+  }
+  for (std::size_t u = 0; u < pipeline.refs.size(); ++u) {
+    const UnitRef& ref = pipeline.refs[u];
+    const ShardSpec shard = pipeline.plans[ref.m].shards[ref.s];
+    UnitState<Traits>& unit = pipeline.units[u];
+    if (!unit.resolved) continue;  // a quarantined module's failed unit
+    typename Traits::Grid& grid = grids[ref.m];
+    if (unit.counted) grid.instrumentation.add_job(unit.counts);
+    for (std::size_t i = shard.begin; i < shard.end; ++i) {
+      grid.cells[ref.p][i] = std::move(unit.rows[i - shard.begin]);
+    }
+  }
+  return grids;
 }
 
 template <typename Traits>
@@ -617,42 +750,7 @@ common::Expected<std::vector<typename Traits::Grid>> run_grid_phase(
     VPP_RETURN_IF_ERROR(manifest.journal.compact(canonical));
   }
 
-  // Assembly in (module, point, shard) order: instrumentation job order and
-  // per-row series match the pre-engine drivers exactly.
-  std::vector<typename Traits::Grid> grids(pipeline.plans.size());
-  for (std::size_t m = 0; m < pipeline.plans.size(); ++m) {
-    const dram::ModuleProfile& profile = plan.modules[m];
-    typename Traits::Grid& grid = grids[m];
-    grid.module_name = profile.name;
-    if constexpr (std::is_same_v<typename Traits::Grid, HammerGrid>) {
-      grid.mfr = profile.mfr;
-      grid.vppmin_v = profile.vppmin_v;
-      grid.wcdp = pipeline.preps[m].wcdp;
-      if (pipeline.preps[m].counted) {
-        grid.instrumentation.add_job(pipeline.preps[m].counts);
-      }
-    } else if constexpr (std::is_same_v<typename Traits::Grid, TrcdGrid>) {
-      grid.vppmin_v = profile.vppmin_v;
-    } else {
-      grid.mfr = profile.mfr;
-    }
-    grid.rows = *pipeline.plans[m].rows;
-    grid.points = pipeline.plans[m].points;
-    grid.cells.assign(
-        grid.points.size(),
-        std::vector<typename Traits::RowResult>(grid.rows.size()));
-  }
-  for (std::size_t u = 0; u < pipeline.refs.size(); ++u) {
-    const UnitRef& ref = pipeline.refs[u];
-    const ShardSpec shard = pipeline.plans[ref.m].shards[ref.s];
-    UnitState<Traits>& unit = pipeline.units[u];
-    typename Traits::Grid& grid = grids[ref.m];
-    if (unit.counted) grid.instrumentation.add_job(unit.counts);
-    for (std::size_t i = shard.begin; i < shard.end; ++i) {
-      grid.cells[ref.p][i] = std::move(unit.rows[i - shard.begin]);
-    }
-  }
-  return grids;
+  return assemble_grids(plan, pipeline);
 }
 
 /// run_campaign_shards for one phase: the unit pipeline over the leased
@@ -736,105 +834,6 @@ common::Expected<std::vector<RetentionGrid>> CampaignEngine::run_retention() {
   return run_grid_phase<RetentionTraits>(plan_, store_, exec_);
 }
 
-namespace {
-
-/// One full per-module RowHammer sweep (run_wcdp_prep + every usable
-/// level), run serially in sessions that carry the attempt's fault injector
-/// and a trace ring. On failure, `failure_dump` holds the failing session's
-/// ring with the error recorded -- captured before the session is torn down.
-/// The whole-cell job_stream_seed keying and the serial session-per-level
-/// structure are part of the resilient campaign's byte-compatibility
-/// contract (quarantine dumps replay command for command).
-common::Expected<ModuleSweepResult> attempt_module_sweep(
-    const dram::ModuleProfile& profile, const SweepConfig& sweep,
-    std::uint64_t seed, std::size_t trace_capacity,
-    softmc::FaultInjector* injector, SweepInstrumentation& instr,
-    softmc::TraceDump& failure_dump, bool& has_failure_dump) {
-  const std::vector<double> levels =
-      usable_vpp_levels(sweep, profile.vppmin_v);
-  if (levels.empty()) {
-    return Error{ErrorCode::kNoUsableLevels,
-                 "no usable VPP levels for module " + profile.name}
-        .with_module(profile.name);
-  }
-  const double nominal = levels.front();
-
-  const auto fail = [&](softmc::Session& session,
-                        common::Error error) -> common::Error {
-    failure_dump = softmc::capture_trace_dump(session, &error);
-    has_failure_dump = true;
-    instr.add_job(session.counters());
-    return error;
-  };
-
-  ModuleSweepResult result;
-  result.module_name = profile.name;
-  result.mfr = profile.mfr;
-  result.vppmin_v = profile.vppmin_v;
-  result.vpp_levels = levels;
-
-  // Phase A: row sampling + per-row WCDP at the nominal level.
-  std::vector<std::uint32_t> rows;
-  std::vector<dram::DataPattern> wcdp;
-  {
-    softmc::Session session(profile);
-    session.enable_trace(trace_capacity);
-    if (injector != nullptr) session.set_fault_injector(injector);
-    rows = sweep.sampling.sample(session.module().mapping());
-    auto prep = run_wcdp_prep(session, sweep, seed, nominal, rows);
-    if (!prep) return fail(session, std::move(prep).error());
-    if (rows.empty()) {
-      return fail(session,
-                  Error{ErrorCode::kEmptySample, "row sampling produced no rows"}
-                      .with_module(profile.name));
-    }
-    wcdp = std::move(prep->wcdp);
-    instr.add_job(session.counters());
-  }
-  result.rows.resize(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    result.rows[i].row = rows[i];
-    result.rows[i].wcdp = wcdp[i];
-  }
-
-  // Phase B: one session per VPP level, highest first.
-  for (const double vpp : levels) {
-    const auto vpp_mv = static_cast<std::int64_t>(vpp_millivolts(vpp));
-    softmc::Session session(profile);
-    session.enable_trace(trace_capacity);
-    if (injector != nullptr) session.set_fault_injector(injector);
-    session.set_auto_refresh(false);
-    common::Status st = session.set_temperature(common::kHammerTestTempC);
-    if (st.ok()) st = session.set_vpp(vpp);
-    if (!st.ok()) {
-      return fail(session, std::move(st)
-                               .error()
-                               .with_module(profile.name)
-                               .with_vpp_mv(vpp_mv)
-                               .with_context("hammer session setup"));
-    }
-    session.set_noise_stream(job_stream_seed(
-        seed, profile.seed, vpp_millivolts(vpp), JobPhase::kRowHammer));
-    harness::RowHammerTest test(session, sweep.hammer);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      auto row = test.test_row(sweep.sampling.bank, rows[i], wcdp[i]);
-      if (!row) {
-        return fail(session, std::move(row)
-                                 .error()
-                                 .with_module(profile.name)
-                                 .with_vpp_mv(vpp_mv));
-      }
-      result.rows[i].hc_first.push_back(row->hc_first);
-      result.rows[i].ber.push_back(row->ber);
-    }
-    instr.add_job(session.counters());
-    result.instrumentation.add_job(session.counters());
-  }
-  return result;
-}
-
-}  // namespace
-
 std::size_t CampaignResult::completed_count() const noexcept {
   std::size_t n = 0;
   for (const ModuleCampaignResult& m : modules) {
@@ -858,51 +857,64 @@ double CampaignResult::hc_first_cv() const {
 CampaignResult CampaignEngine::run_resilient(const softmc::FaultPlan& faults,
                                              const harness::RetryPolicy& retry,
                                              std::size_t trace_capacity) {
-  CampaignResult campaign;
-  campaign.modules.reserve(plan_.modules.size());
-
-  for (const dram::ModuleProfile& profile : plan_.modules) {
-    ModuleCampaignResult outcome;
-    outcome.module_name = profile.name;
-
-    softmc::FaultInjector injector(faults);
-    softmc::FaultInjector* active = faults.empty() ? nullptr : &injector;
-
-    const std::uint32_t budget = retry.max_attempts > 0 ? retry.max_attempts : 1;
-    for (std::uint32_t attempt = 0; attempt < budget; ++attempt) {
-      // Re-salting the draws means a retry faces *different* fault sites
-      // than the attempt that failed -- deterministic progress instead of
-      // deterministic re-failure.
-      injector.set_attempt(attempt);
-      outcome.attempts = attempt + 1;
-      if (attempt > 0) ++campaign.instrumentation.retries;
-
-      auto sweep = attempt_module_sweep(profile, plan_.sweep, plan_.seed,
-                                        trace_capacity, active,
-                                        campaign.instrumentation, outcome.dump,
-                                        outcome.has_dump);
-      outcome.injections += injector.counts();
-      if (sweep) {
-        outcome.completed = true;
-        outcome.error_code = ErrorCode::kUnknown;
-        outcome.error_message.clear();
-        outcome.has_dump = false;
-        outcome.sweep = std::move(*sweep);
-        break;
-      }
-      outcome.error_code = sweep.error().code;
-      outcome.error_message = sweep.error().to_string();
-      if (!retry.should_retry(sweep.error().code, attempt + 1)) break;
+  // The hammer grid under a fault context, with no manifest and no CellStore
+  // (a faulted row is not a pure function of its cell key). A module that
+  // cannot be planned has no units and is quarantined with that error.
+  const std::size_t n = plan_.modules.size();
+  std::vector<ModulePlan> plans(n);
+  std::vector<std::optional<Error>> errors(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    if (auto module =
+            plan_module(plan_, plan_.modules[m], JobPhase::kRowHammer)) {
+      plans[m] = std::move(*module);
+    } else {
+      errors[m] = std::move(module).error();
     }
+  }
+  std::vector<UnitRef> refs = grid_units(plans);
+  const FaultCtx ctx{faults, retry, trace_capacity};
+  UnitPipeline<HammerTraits> pipeline(plan_, std::move(plans), std::move(refs),
+                                      &ctx);
+  ManifestCtx no_manifest;
+  // Job failures are recorded per job, so the run itself fails only when it
+  // is cancelled before a prep is submitted.
+  const common::Status run = pipeline.run(no_manifest, nullptr, exec_);
+  std::vector<HammerGrid> grids = assemble_grids(plan_, pipeline);
 
-    if (!outcome.completed) {
+  // Fold each module's jobs in canonical order (prep, then units): the first
+  // failure is its quarantine error and dump.
+  CampaignResult campaign;
+  campaign.modules.reserve(n);
+  std::size_t u = 0;
+  for (std::size_t m = 0; m < n; ++m) {
+    ModuleCampaignResult outcome;
+    outcome.module_name = plan_.modules[m].name;
+    std::optional<Error>& error = errors[m];
+    if (error) outcome.attempts = 1;
+    const auto fold = [&](JobFaults& job) {
+      outcome.attempts = std::max(outcome.attempts, job.attempts);
+      outcome.injections += job.injections;
+      campaign.instrumentation += job.instrumentation;
+      if (job.error && !error) {
+        error = std::move(job.error);
+        outcome.dump = std::move(job.dump);
+        outcome.has_dump = true;
+      }
+    };
+    fold(pipeline.prep_faults[m]);
+    for (; u < pipeline.refs.size() && pipeline.refs[u].m == m; ++u) {
+      fold(pipeline.unit_faults[u]);
+    }
+    if (!error && !run.ok()) error = run.error();
+    if (!error) {
+      outcome.completed = true;
+      outcome.sweep = grids[m].to_sweep();
+    } else {
+      outcome.error_code = error->code;
+      outcome.error_message = error->to_string();
       ++campaign.instrumentation.quarantined_modules;
-      harness::QuarantineRecord record;
-      record.module = profile.name;
-      record.code = outcome.error_code;
-      record.message = outcome.error_message;
-      record.attempts = outcome.attempts;
-      campaign.quarantines.push_back(std::move(record));
+      campaign.quarantines.push_back({outcome.module_name, outcome.error_code,
+                                      outcome.error_message, outcome.attempts});
     }
     campaign.modules.push_back(std::move(outcome));
   }

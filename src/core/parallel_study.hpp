@@ -40,9 +40,8 @@ namespace vppstudy::core {
 /// against floating-point drift in level arithmetic).
 [[nodiscard]] std::uint64_t vpp_millivolts(double vpp_v) noexcept;
 
-/// Stream seed of a whole-cell job: the WCDP prep pass (which walks all rows
-/// in one session) and CampaignEngine::run_resilient key their noise with
-/// this.
+/// Stream seed of a whole-cell job: the WCDP prep pass, which walks all of a
+/// module's rows in one session, keys its noise with this.
 [[nodiscard]] std::uint64_t job_stream_seed(std::uint64_t seed,
                                             std::uint64_t module_seed,
                                             std::uint64_t vpp_mv,

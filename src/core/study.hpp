@@ -64,8 +64,8 @@ struct SweepConfig {
 /// though jobs complete in scheduler order.
 struct SweepInstrumentation {
   std::uint64_t jobs = 0;  ///< rig sessions that contributed
-  /// Retry accounting (CampaignEngine::run_resilient): sessions re-run after
-  /// a transient failure, and modules given up on after the retry budget.
+  /// Retry accounting (CampaignEngine::run_resilient): job attempts re-run
+  /// after a transient failure, and modules given up on after the budget.
   /// Plain sweeps leave both at zero.
   std::uint64_t retries = 0;
   std::uint64_t quarantined_modules = 0;

@@ -33,6 +33,8 @@ enum class MappingScheme {
 struct RowRepair {
   std::uint32_t logical_row = 0;   ///< the repaired logical address
   std::uint32_t spare_physical = 0;///< its new physical location
+
+  friend bool operator==(const RowRepair&, const RowRepair&) = default;
 };
 
 class RowMapping {

@@ -24,6 +24,9 @@ struct RetentionWeakClass {
   /// (32, 64] to populate Fig. 11a, (64, 128] for Fig. 11b.
   double t_ret_lo_ms = 0.0;
   double t_ret_hi_ms = 0.0;
+
+  friend bool operator==(const RetentionWeakClass&,
+                         const RetentionWeakClass&) = default;
 };
 
 struct ModuleProfile {
@@ -73,6 +76,8 @@ struct ModuleProfile {
   std::uint64_t seed = 1;
 
   [[nodiscard]] int total_chips() const noexcept { return num_chips; }
+
+  friend bool operator==(const ModuleProfile&, const ModuleProfile&) = default;
 };
 
 }  // namespace vppstudy::dram

@@ -2,14 +2,6 @@
 
 namespace vppstudy::harness {
 
-std::string_view fault_class_name(FaultClass c) noexcept {
-  switch (c) {
-    case FaultClass::kTransient: return "transient";
-    case FaultClass::kPersistent: return "persistent";
-  }
-  return "?";
-}
-
 FaultClass classify_error(common::ErrorCode code) noexcept {
   using common::ErrorCode;
   switch (code) {
@@ -42,12 +34,6 @@ FaultClass classify_error(common::ErrorCode code) noexcept {
       return FaultClass::kPersistent;
   }
   return FaultClass::kTransient;
-}
-
-std::string QuarantineRecord::to_string() const {
-  return module + ": quarantined after " + std::to_string(attempts) +
-         " attempt(s): [" + std::string(common::error_code_name(code)) + "] " +
-         message;
 }
 
 }  // namespace vppstudy::harness

@@ -20,8 +20,6 @@ enum class FaultClass : std::uint8_t {
   kPersistent,  ///< deterministic misconfiguration: retrying cannot help
 };
 
-[[nodiscard]] std::string_view fault_class_name(FaultClass c) noexcept;
-
 /// Classify an ErrorCode. Transient: the device-interaction failures a
 /// flaky rig produces (unresponsive module, protocol rejections, read
 /// underruns, fatal timing, thermal timeouts, and kUnknown -- unattributed
@@ -49,8 +47,6 @@ struct QuarantineRecord {
   common::ErrorCode code = common::ErrorCode::kUnknown;
   std::string message;
   std::uint32_t attempts = 0;  ///< attempts burned before quarantine
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 }  // namespace vppstudy::harness

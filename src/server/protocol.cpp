@@ -153,14 +153,7 @@ std::string encode_replay_request(std::uint64_t id,
 
 // --- Request decoding --------------------------------------------------------
 
-common::Result<SweepRequest> parse_sweep_request(const JsonValue& body) {
-  SweepRequest request;
-  request.module = body.string_or("module", request.module);
-  request.test = body.string_or("test", request.test);
-  request.rows = static_cast<std::uint32_t>(
-      body.uint_or("rows", request.rows));
-  request.step = body.number_or("step", request.step);
-  request.seed = body.uint_or("seed", request.seed);
+common::Status validate(const SweepRequest& request) {
   if (request.test != "rowhammer" && request.test != "trcd" &&
       request.test != "retention") {
     return Error{ErrorCode::kInvalidArgument,
@@ -174,6 +167,42 @@ common::Result<SweepRequest> parse_sweep_request(const JsonValue& body) {
   if (!(request.step >= 0.01 && request.step <= 1.2)) {
     return Error{ErrorCode::kInvalidArgument, "step must be in [0.01, 1.2]"};
   }
+  for (const double temp_c : request.temps) {
+    if (!(temp_c >= -40.0 && temp_c <= 120.0)) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "temps entries must be in [-40, 120] C"};
+    }
+  }
+  if (!request.patterns.empty() && request.test != "rowhammer") {
+    return Error{ErrorCode::kInvalidArgument,
+                 "the pattern axis applies to rowhammer sweeps only"};
+  }
+  for (const harness::PatternSpec& spec : request.patterns) {
+    VPP_RETURN_IF_ERROR(spec.validate());
+  }
+  return common::Status::ok_status();
+}
+
+common::Status validate(const InjectRequest& request) {
+  if (request.modules.empty()) {
+    return Error{ErrorCode::kInvalidArgument, "inject needs >= 1 module"};
+  }
+  if (request.rows == 0 || request.rows > 65536) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "rows must be in [1, 65536], got " +
+                     std::to_string(request.rows)};
+  }
+  return common::Status::ok_status();
+}
+
+common::Result<SweepRequest> parse_sweep_request(const JsonValue& body) {
+  SweepRequest request;
+  request.module = body.string_or("module", request.module);
+  request.test = body.string_or("test", request.test);
+  request.rows = static_cast<std::uint32_t>(
+      body.uint_or("rows", request.rows));
+  request.step = body.number_or("step", request.step);
+  request.seed = body.uint_or("seed", request.seed);
   if (const JsonValue* temps = body.find("temps");
       temps != nullptr && temps->is_array()) {
     for (const auto& t : temps->items()) {
@@ -181,27 +210,18 @@ common::Result<SweepRequest> parse_sweep_request(const JsonValue& body) {
         return Error{ErrorCode::kInvalidArgument,
                      "temps entries must be numbers"};
       }
-      const double temp_c = t.as_number();
-      if (!(temp_c >= -40.0 && temp_c <= 120.0)) {
-        return Error{ErrorCode::kInvalidArgument,
-                     "temps entries must be in [-40, 120] C"};
-      }
-      request.temps.push_back(temp_c);
+      request.temps.push_back(t.as_number());
     }
   }
   if (const JsonValue* patterns = body.find("patterns");
       patterns != nullptr && patterns->is_array()) {
-    if (request.test != "rowhammer") {
-      return Error{ErrorCode::kInvalidArgument,
-                   "the pattern axis applies to rowhammer sweeps only"};
-    }
     for (const auto& item : patterns->items()) {
       VPP_ASSIGN_OR_RETURN(harness::PatternSpec spec,
                            harness::parse_pattern_spec(item));
-      VPP_RETURN_IF_ERROR(spec.validate());
       request.patterns.push_back(std::move(spec));
     }
   }
+  VPP_RETURN_IF_ERROR(validate(request));
   return request;
 }
 
@@ -219,17 +239,12 @@ common::Result<InjectRequest> parse_inject_request(const JsonValue& body) {
       request.modules.push_back(m.as_string());
     }
   }
-  if (request.modules.empty()) {
-    return Error{ErrorCode::kInvalidArgument, "inject needs >= 1 module"};
-  }
   request.rows = static_cast<std::uint32_t>(body.uint_or("rows", request.rows));
   request.retries =
       static_cast<std::uint32_t>(body.uint_or("retries", request.retries));
   request.seed = body.uint_or("seed", request.seed);
   request.trace_cap = body.uint_or("trace_cap", request.trace_cap);
-  if (request.rows == 0 || request.rows > 65536) {
-    return Error{ErrorCode::kInvalidArgument, "rows must be in [1, 65536]"};
-  }
+  VPP_RETURN_IF_ERROR(validate(request));
   return request;
 }
 
@@ -734,30 +749,6 @@ common::Result<core::RetentionSweepResult> retention_sweep_from_json(
   if (!ref) return std::move(ref).error();
   sweep.row_ber_at_reference = std::move(*ref);
   return sweep;
-}
-
-std::string campaign_result_to_json(const core::CampaignResult& campaign) {
-  JsonWriter w;
-  w.begin_object().kv("kind", "campaign");
-  w.key("modules").begin_array();
-  for (const auto& m : campaign.modules) {
-    w.begin_object()
-        .kv("module", m.module_name)
-        .kv("completed", m.completed)
-        .kv("attempts", static_cast<std::uint64_t>(m.attempts))
-        .kv("injected", m.injections.total());
-    if (!m.completed) {
-      w.kv("error_code", common::error_code_name(m.error_code));
-      w.kv("error", m.error_message);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.kv("completed",
-       static_cast<std::uint64_t>(campaign.completed_count()))
-      .kv("hc_first_cv", campaign.hc_first_cv())
-      .end_object();
-  return w.str();
 }
 
 }  // namespace vppstudy::server

@@ -104,7 +104,13 @@ struct InjectRequest {
 [[nodiscard]] std::string encode_replay_request(std::uint64_t id,
                                                 const std::string& dump_json);
 
-/// Decoders used by the daemon.
+/// kInvalidArgument naming the first field out of range. The decoders below
+/// and the in-process vppctl paths all call these, so a request is refused
+/// with the same text locally and over --connect.
+[[nodiscard]] common::Status validate(const SweepRequest& request);
+[[nodiscard]] common::Status validate(const InjectRequest& request);
+
+/// Decoders used by the daemon: the wire fields, then validate().
 [[nodiscard]] common::Result<SweepRequest> parse_sweep_request(
     const common::JsonValue& body);
 [[nodiscard]] common::Result<InjectRequest> parse_inject_request(
@@ -245,8 +251,5 @@ struct RequestStats {
     const common::JsonValue& doc);
 [[nodiscard]] common::Result<core::RetentionSweepResult>
 retention_sweep_from_json(const common::JsonValue& doc);
-
-[[nodiscard]] std::string campaign_result_to_json(
-    const core::CampaignResult& campaign);
 
 }  // namespace vppstudy::server

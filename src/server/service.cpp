@@ -296,6 +296,7 @@ common::Result<Service::Outcome> Service::sweep(const SweepRequest& request,
 }
 
 common::Result<InjectCampaign> inject_campaign(const InjectRequest& request) {
+  VPP_RETURN_IF_ERROR(validate(request));
   auto faults = softmc::FaultPlan::parse(request.faults);
   if (!faults) return std::move(faults).error();
   InjectCampaign campaign;
@@ -319,9 +320,9 @@ common::Result<InjectCampaign> inject_campaign(const InjectRequest& request) {
   return campaign;
 }
 
-core::CampaignResult InjectCampaign::run() const {
-  return core::CampaignEngine(plan).run_resilient(faults, retry,
-                                                  trace_capacity);
+core::CampaignResult InjectCampaign::run(core::CampaignExecution exec) const {
+  return core::CampaignEngine(plan, nullptr, exec)
+      .run_resilient(faults, retry, trace_capacity);
 }
 
 common::Result<Service::Outcome> Service::inject(const InjectRequest& request,
@@ -332,7 +333,9 @@ common::Result<Service::Outcome> Service::inject(const InjectRequest& request,
   VPP_ASSIGN_OR_RETURN(const InjectCampaign campaign,
                        inject_campaign(request));
   Outcome out;
-  out.result_json = campaign_result_to_json(campaign.run());
+  out.result_json =
+      core::campaign_json(campaign.run({.arenas = &arenas_, .pool = &pool_}))
+          .str();
   return out;
 }
 

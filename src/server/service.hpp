@@ -57,10 +57,12 @@ struct InjectCampaign {
   harness::RetryPolicy retry;
   std::size_t trace_capacity = 0;
 
-  [[nodiscard]] core::CampaignResult run() const;
+  [[nodiscard]] core::CampaignResult run(
+      core::CampaignExecution exec = {}) const;
 };
 
-/// kInvalidArgument on an unparseable fault spec or an unknown module.
+/// kInvalidArgument on an invalid request, an unparseable fault spec or an
+/// unknown module.
 [[nodiscard]] common::Result<InjectCampaign> inject_campaign(
     const InjectRequest& request);
 

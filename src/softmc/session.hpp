@@ -89,9 +89,6 @@ class Session {
   /// interceptor and as an observer (replacing any previous injector).
   /// Borrowed -- must outlive the session or be detached with nullptr.
   void set_fault_injector(FaultInjector* injector);
-  [[nodiscard]] FaultInjector* fault_injector() const noexcept {
-    return injector_;
-  }
 
   /// Register an external observer (fault injectors, custom metrics). The
   /// observer is borrowed and must outlive the session (or be removed).

@@ -1,9 +1,10 @@
 // Tests for the fault-tolerant campaign (CampaignEngine::run_resilient):
-// retry accounting in the
-// sweep instrumentation, deterministic quarantine decisions under a seeded
-// fault plan, exclusion of quarantined modules from cross-module statistics,
-// replayability of the quarantine evidence, and the partial-result CSV/JSON
-// markers downstream consumers rely on.
+// retry accounting in the sweep instrumentation, deterministic quarantine
+// decisions under a seeded fault plan, per-module fault schedules, identity
+// across jobs counts and with the fault-free engine, exclusion of
+// quarantined modules from cross-module statistics, replayability of the
+// quarantine evidence, and the partial-result CSV/JSON markers downstream
+// consumers rely on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,11 +25,11 @@ namespace {
 
 /// A plan mixing dropped and corrupted reads, duplicated ACTs and delayed
 /// PREs. Over the two-module campaign below, B3 is quarantined by a dropped
-/// read on both attempts and A5 completes on its retry.
+/// read on a job's last attempt and A5 completes after one job retried.
 constexpr const char* kMixedFaultSpec =
-    "seed=7;drop_read=0.00001;flip_read=0.0002,bits=2;dup_act=0.0004;"
+    "seed=95;drop_read=0.00001;flip_read=0.0002,bits=2;dup_act=0.0004;"
     "delay_pre=0.2,ns=9";
-constexpr std::uint64_t kMixedFaultDigest = 0xb2c1d08fb8f30639ULL;
+constexpr std::uint64_t kMixedFaultDigest = 0x7f8b49fe74d65bb4ULL;
 
 dram::ModuleProfile small_profile(const char* name = "B3") {
   auto p = chips::profile_by_name(name).value();
@@ -138,9 +139,9 @@ TEST(ResilientStudy, InjectionCountsCoverEveryAttempt) {
 }
 
 TEST(ResilientStudy, SeededCampaignIsBitReproducible) {
-  // Probability-based faults draw from (seed, attempt, kind, index) only, so
-  // two identical invocations produce byte-identical exports -- the same
-  // guarantee the replay-fuzz CI job asserts on vppctl inject.
+  // Probability-based faults draw from (job seed, attempt, kind, index)
+  // only, so two identical invocations produce byte-identical exports -- the
+  // same guarantee the replay-fuzz CI job asserts on vppctl inject.
   const std::string spec = "seed=9;drop_read=0.0001;flip_read=0.0001";
   const CampaignResult a = run_tiny_campaign(spec);
   const CampaignResult b = run_tiny_campaign(spec);
@@ -202,6 +203,120 @@ TEST(ResilientStudy, MixedFaultPlanOutputIsPinned) {
     if (m.has_dump) h = fnv1a(h, softmc::trace_dump_json(m.dump).str());
   }
   EXPECT_EQ(h, kMixedFaultDigest) << std::hex << "0x" << h;
+}
+
+/// The campaign `vppctl inject --modules B3,A5,C9 --rows <rows> --retries 2
+/// --faults <spec>` runs: the quick sweep, two sampled chunks of rows / 2
+/// rows each on 4096-row banks, seed 1, 4096-entry trace rings.
+CampaignResult run_inject_campaign(const std::string& fault_spec,
+                                   std::uint32_t rows, int jobs) {
+  CampaignPlan plan;
+  plan.sweep = SweepConfig::quick();
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = rows / 2;
+  plan.modules = {small_profile("B3"), small_profile("A5"),
+                  small_profile("C9")};
+  plan.seed = 1;
+  plan.jobs = jobs;
+  harness::RetryPolicy retry;
+  retry.max_attempts = 2;
+  softmc::FaultPlan faults;
+  if (!fault_spec.empty()) {
+    faults = softmc::FaultPlan::parse(fault_spec).value();
+  }
+  return CampaignEngine(std::move(plan)).run_resilient(faults, retry, 4096);
+}
+
+/// Every untruncated quarantine dump must reproduce its failure on a fresh
+/// rig. The plans below inject device-visible faults only (dropped and
+/// duplicated ACTs, flipped reads, late PREs), whose failures replay.
+void expect_dumps_replay(const CampaignResult& campaign) {
+  for (const ModuleCampaignResult& m : campaign.modules) {
+    if (!m.has_dump || m.dump.truncated()) continue;
+    softmc::TraceReplayer replayer(m.dump);
+    const auto report = replayer.replay_on_profile(small_profile(
+        m.module_name.c_str()));
+    ASSERT_TRUE(report.has_value()) << m.module_name;
+    EXPECT_TRUE(report->reproduced()) << m.module_name;
+  }
+}
+
+/// A device-visible mixed plan: duplicated ACTs fail with kDeviceProtocol
+/// early in every module's WCDP prep, flipped reads and late PREs are
+/// silent.
+constexpr const char* kDeviceFaultSpec =
+    "seed=11;dup_act=0.005;flip_read=0.0005,bits=2;delay_pre=0.2,ns=9";
+
+TEST(ResilientStudy, ModulesUnderOnePlanFaceDifferentFaultSites) {
+  // Each module's injectors are seeded by its own profile seed, so one plan
+  // gives three modules three fault schedules: their outcomes (attempts,
+  // error code, injection tallies) are not all the same.
+  const CampaignResult campaign = run_inject_campaign(kDeviceFaultSpec, 8, 1);
+  ASSERT_EQ(campaign.modules.size(), 3u);
+  const auto same = [](const ModuleCampaignResult& a,
+                       const ModuleCampaignResult& b) {
+    return a.completed == b.completed && a.attempts == b.attempts &&
+           a.error_code == b.error_code && a.injections == b.injections;
+  };
+  EXPECT_FALSE(same(campaign.modules[0], campaign.modules[1]) &&
+               same(campaign.modules[1], campaign.modules[2]))
+      << campaign_json(campaign).str();
+  expect_dumps_replay(campaign);
+}
+
+TEST(ResilientStudy, MixedFaultCampaignIsIdenticalAcrossJobs) {
+  // Fault draws are keyed per job, never per worker, so a pool of any size
+  // gives byte-identical exports and quarantine evidence.
+  const std::string spec =
+      "seed=5;drop_act=0.0005;dup_act=0.0005;flip_read=0.0005,bits=2;"
+      "delay_pre=0.2,ns=9";
+  const CampaignResult serial = run_inject_campaign(spec, 8, 1);
+  const CampaignResult pooled = run_inject_campaign(spec, 8, 4);
+  EXPECT_EQ(campaign_to_csv(serial).str(), campaign_to_csv(pooled).str());
+  EXPECT_EQ(campaign_json(serial).str(), campaign_json(pooled).str());
+  EXPECT_EQ(serial.instrumentation, pooled.instrumentation);
+  ASSERT_EQ(serial.modules.size(), pooled.modules.size());
+  std::size_t dumps = 0;
+  for (std::size_t m = 0; m < serial.modules.size(); ++m) {
+    ASSERT_EQ(serial.modules[m].has_dump, pooled.modules[m].has_dump);
+    if (!serial.modules[m].has_dump) continue;
+    ++dumps;
+    EXPECT_EQ(softmc::trace_dump_json(serial.modules[m].dump).str(),
+              softmc::trace_dump_json(pooled.modules[m].dump).str());
+  }
+  EXPECT_GT(dumps, 0u) << "the plan should quarantine at least one module";
+  EXPECT_LT(serial.completed_count(), serial.modules.size());
+  expect_dumps_replay(serial);
+}
+
+TEST(ResilientStudy, CleanCampaignMatchesEngine) {
+  // With no faults, a resilient campaign is run_hammer on the same plan.
+  const CampaignResult campaign = run_inject_campaign("", 8, 1);
+  CampaignPlan plan;
+  plan.sweep = SweepConfig::quick();
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = 4;
+  plan.modules = {small_profile("B3"), small_profile("A5"),
+                  small_profile("C9")};
+  plan.seed = 1;
+  const std::vector<HammerGrid> grids =
+      CampaignEngine(std::move(plan)).run_hammer().value();
+  ASSERT_EQ(campaign.modules.size(), grids.size());
+  for (std::size_t m = 0; m < grids.size(); ++m) {
+    const ModuleCampaignResult& outcome = campaign.modules[m];
+    ASSERT_TRUE(outcome.completed) << outcome.module_name;
+    EXPECT_EQ(outcome.attempts, 1u);
+    const ModuleSweepResult expected = grids[m].to_sweep();
+    const ModuleSweepResult& got = outcome.sweep;
+    EXPECT_EQ(got.vpp_levels, expected.vpp_levels);
+    ASSERT_EQ(got.rows.size(), expected.rows.size());
+    for (std::size_t i = 0; i < got.rows.size(); ++i) {
+      EXPECT_EQ(got.rows[i].row, expected.rows[i].row);
+      EXPECT_EQ(got.rows[i].wcdp, expected.rows[i].wcdp);
+      EXPECT_EQ(got.rows[i].hc_first, expected.rows[i].hc_first);
+      EXPECT_EQ(got.rows[i].ber, expected.rows[i].ber);
+    }
+  }
 }
 
 TEST(ResilientStudy, CvExcludesQuarantinedModules) {

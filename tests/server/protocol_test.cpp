@@ -1,7 +1,8 @@
 // Wire-protocol unit tests: framing over a real loopback socket, request
-// and response codec round trips, the VPP level quantization that keeps the
-// cache key and the physics in agreement, and the content-addressed cache's
-// key derivation and hit/miss accounting.
+// and response codec round trips, request validation that the local and
+// remote paths share, inject on the daemon's lent arenas, the VPP level
+// quantization that keeps the cache key and the physics in agreement, and
+// the content-addressed cache's key derivation and hit/miss accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,10 +12,14 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/socket.hpp"
+#include "core/export.hpp"
 #include "core/parallel_study.hpp"
 #include "core/study.hpp"
+#include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "server/result_cache.hpp"
+#include "server/server.hpp"
+#include "server/service.hpp"
 
 namespace vppstudy::server {
 namespace {
@@ -176,6 +181,65 @@ TEST(ServerProtocol, InjectRequestNeedsModules) {
   auto parsed = parse_inject_request(*doc);
   ASSERT_FALSE(parsed.has_value());
   EXPECT_EQ(parsed.error().code, ErrorCode::kInvalidArgument);
+}
+
+TEST(ServerProtocol, LocalAndRemotePathsRejectZeroRowsAlike) {
+  // vppctl's in-process sweep calls validate() and its inject builds the
+  // campaign through inject_campaign(), which calls it too; with --connect
+  // the daemon's parser does. Both paths refuse rows 0 with the same text.
+  auto server = Server::start(Server::Config{});
+  ASSERT_TRUE(server.has_value());
+  auto client = Client::connect((*server)->port());
+  ASSERT_TRUE(client.has_value());
+
+  SweepRequest sweep;
+  sweep.rows = 0;
+  const common::Status local_sweep = validate(sweep);
+  ASSERT_FALSE(local_sweep.ok());
+  EXPECT_EQ(local_sweep.error().code, ErrorCode::kInvalidArgument);
+  auto remote_sweep = client->sweep(sweep);
+  ASSERT_FALSE(remote_sweep.has_value());
+  EXPECT_EQ(remote_sweep.error().to_string(), local_sweep.error().to_string());
+
+  InjectRequest inject;
+  inject.rows = 0;
+  auto local_inject = inject_campaign(inject);
+  ASSERT_FALSE(local_inject.has_value());
+  EXPECT_EQ(local_inject.error().code, ErrorCode::kInvalidArgument);
+  auto remote_inject = client->inject(inject);
+  ASSERT_FALSE(remote_inject.has_value());
+  EXPECT_EQ(remote_inject.error().to_string(),
+            local_inject.error().to_string());
+}
+
+TEST(ServerProtocol, InjectOnWarmDaemonArenasMatchesLocalRun) {
+  // The daemon lends its arenas to inject, whose B3 has a 4096-row bank;
+  // a sweep's B3 has the full bank. Neither may reuse the other's session.
+  // One job runs everything on one arena slot, so each verb meets the
+  // other's session.
+  Service::Config config;
+  config.jobs = 1;
+  Service service(config);
+  InjectRequest inject;
+  inject.faults = "seed=3;flip_read=0.001;delay_pre=0.1,ns=9";
+  inject.rows = 8;
+  auto local = inject_campaign(inject);
+  ASSERT_TRUE(local.has_value());
+  const std::string expected_inject = core::campaign_json(local->run()).str();
+  SweepRequest sweep;
+  sweep.rows = 4;
+  sweep.step = 1.0;
+  auto expected_sweep = Service(config).sweep(sweep, common::CancelToken());
+  ASSERT_TRUE(expected_sweep.has_value());
+
+  for (int round = 0; round < 2; ++round) {
+    auto injected = service.inject(inject, common::CancelToken());
+    ASSERT_TRUE(injected.has_value()) << injected.error().to_string();
+    EXPECT_EQ(injected->result_json, expected_inject);
+    auto swept = service.sweep(sweep, common::CancelToken());
+    ASSERT_TRUE(swept.has_value()) << swept.error().to_string();
+    EXPECT_EQ(swept->result_json, expected_sweep->result_json);
+  }
 }
 
 TEST(ServerProtocol, ResultResponseSplicesResultVerbatim) {

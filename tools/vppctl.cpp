@@ -17,15 +17,20 @@
 //       sends the sweep to a vppd daemon on 127.0.0.1:PORT instead of
 //       running it in-process: same numbers, byte-identical CSV, but no
 //       instrumentation sidecar (a cached response ran no rig sessions).
-//       Exit 0 on success, 3 on a typed error (local or remote).
+//       Exit 0 on success, 3 on a typed error (local or remote); an
+//       out-of-range request is refused with the daemon's message either
+//       way.
 //   vppctl profile --module B6 [--vpp 1.7] [--rows 128]
 //       REAPER-style retention profile at a VPP level.
 //   vppctl inject  --faults "seed=7;drop_act=0.001;spurious@5000"
 //                  [--modules B3,A0] [--rows 8] [--retries 3] [--seed 1]
-//                  [--trace-cap 4096] [--csv out.csv] [--dump-dir DIR]
+//                  [--trace-cap 4096] [--jobs 1] [--csv out.csv]
+//                  [--dump-dir DIR]
 //       Run a fault-injected RowHammer campaign under the harness retry
-//       policy. Deterministic: the same invocation produces the same
-//       quarantine set and byte-identical --csv/JSON exports. --dump-dir
+//       policy: each job (a module's WCDP prep or one shard) retries in
+//       place, and a module whose job exhausts its retries is quarantined.
+//       Deterministic: the same invocation produces the same quarantine
+//       set and byte-identical --csv/JSON exports at any --jobs. --dump-dir
 //       writes a replayable trace dump per quarantined module. Exit 0 when
 //       the campaign ran (quarantines included), 3 on a typed error.
 //   vppctl replay  <dump.json> [--verbose] [--connect PORT]
@@ -363,6 +368,10 @@ int cmd_sweep(const std::map<std::string, std::string>& flags) {
         request, static_cast<std::uint16_t>(std::atoi(connect.c_str())),
         csv_path);
   }
+  if (auto st = server::validate(request); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.error().to_string().c_str());
+    return 3;
+  }
 
   const auto profile = chips::profile_by_name(request.module);
   if (!profile) {
@@ -390,17 +399,13 @@ int cmd_sweep(const std::map<std::string, std::string>& flags) {
     }
     return render(sweep, csv_path, /*sidecar=*/true);
   };
-  if (request.test == "rowhammer") {
-    return finish(engine.run_hammer(), render_hammer_sweep);
-  }
   if (request.test == "trcd") {
     return finish(engine.run_trcd(), render_trcd_sweep);
   }
   if (request.test == "retention") {
     return finish(engine.run_retention(), render_retention_sweep);
   }
-  std::fprintf(stderr, "unknown --test '%s'\n", request.test.c_str());
-  return 1;
+  return finish(engine.run_hammer(), render_hammer_sweep);  // validated
 }
 
 int cmd_profile(const std::map<std::string, std::string>& flags) {
@@ -485,25 +490,34 @@ int cmd_inject_remote(const std::map<std::string, std::string>& flags,
     std::fprintf(stderr, "%s\n", result.error().to_string().c_str());
     return 3;
   }
-  std::size_t total = 0;
+  // The daemon answers with core::campaign_json, the document local runs
+  // write beside --csv.
   if (const common::JsonValue* modules = result->find("modules")) {
-    total = modules->items().size();
     for (const auto& m : modules->items()) {
+      const std::string status = m.string_or("status", "?");
+      std::uint64_t injected = 0;  // InjectionCounts::total()
+      if (const common::JsonValue* inj = m.find("injections")) {
+        for (const char* kind : {"dropped_acts", "duplicated_acts",
+                                 "dropped_reads", "corrupted_reads",
+                                 "delayed_pres", "spurious_errors"}) {
+          injected += inj->uint_or(kind, 0);
+        }
+      }
       std::printf("%-4s %-11s attempts=%llu injected=%llu",
-                  m.string_or("module", "?").c_str(),
-                  m.bool_or("completed", false) ? "completed" : "quarantined",
+                  m.string_or("module", "?").c_str(), status.c_str(),
                   static_cast<unsigned long long>(m.uint_or("attempts", 0)),
-                  static_cast<unsigned long long>(m.uint_or("injected", 0)));
-      if (!m.bool_or("completed", false)) {
+                  static_cast<unsigned long long>(injected));
+      if (status != "completed") {
         std::printf("  %s", m.string_or("error", "").c_str());
       }
       std::printf("\n");
     }
   }
-  std::printf("completed %llu/%zu modules, HCfirst CV (completed only) = "
-              "%.4f\n",
-              static_cast<unsigned long long>(result->uint_or("completed", 0)),
-              total, result->number_or("hc_first_cv", 0.0));
+  std::printf(
+      "completed %llu/%llu modules, HCfirst CV (completed only) = %.4f\n",
+      static_cast<unsigned long long>(result->uint_or("modules_completed", 0)),
+      static_cast<unsigned long long>(result->uint_or("modules_total", 0)),
+      result->number_or("hc_first_cv", 0.0));
   return 0;
 }
 
@@ -525,6 +539,7 @@ int cmd_inject(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "%s\n", built.error().to_string().c_str());
     return 3;
   }
+  built->plan.jobs = std::atoi(flag_or(flags, "jobs", "1").c_str());
   const core::CampaignResult campaign = built->run();
 
   for (const auto& m : campaign.modules) {
