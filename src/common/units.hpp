@@ -8,14 +8,9 @@
 namespace vppstudy::common {
 
 // --- Time conversions (canonical simulation unit: nanoseconds) -------------
-inline constexpr double kNsPerUs = 1e3;
 inline constexpr double kNsPerMs = 1e6;
-inline constexpr double kNsPerS = 1e9;
 
 [[nodiscard]] constexpr double ms_to_ns(double ms) noexcept { return ms * kNsPerMs; }
-[[nodiscard]] constexpr double s_to_ns(double s) noexcept { return s * kNsPerS; }
-[[nodiscard]] constexpr double ns_to_ms(double ns) noexcept { return ns / kNsPerMs; }
-[[nodiscard]] constexpr double ns_to_s(double ns) noexcept { return ns / kNsPerS; }
 
 // --- DDR4 voltage rails (JESD79-4) ------------------------------------------
 /// Nominal wordline (pumped) voltage.

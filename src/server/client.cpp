@@ -18,21 +18,6 @@ common::Status Client::send(std::string_view payload) {
   return write_frame(socket_, payload);
 }
 
-common::Result<JsonValue> Client::receive() {
-  if (!buffered_.empty()) {
-    JsonValue doc = std::move(buffered_.front());
-    buffered_.pop_front();
-    return doc;
-  }
-  std::string payload;
-  auto more = read_frame(socket_, payload);
-  if (!more) return std::move(more).error();
-  if (!*more) {
-    return Error{ErrorCode::kIoError, "server closed the connection"};
-  }
-  return common::parse_json(payload);
-}
-
 common::Result<JsonValue> Client::wait_for(std::uint64_t id) {
   for (std::size_t i = 0; i < buffered_.size(); ++i) {
     if (buffered_[i].uint_or("id", 0) == id) {

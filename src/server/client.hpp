@@ -28,9 +28,6 @@ class Client {
   /// Send one already-encoded request frame.
   [[nodiscard]] common::Status send(std::string_view payload);
 
-  /// Read the next response frame (any id) into a parsed document.
-  [[nodiscard]] common::Result<common::JsonValue> receive();
-
   /// Read response frames until the one answering `id` arrives; responses
   /// to other (pipelined) ids are buffered for later wait_for() calls.
   [[nodiscard]] common::Result<common::JsonValue> wait_for(std::uint64_t id);

@@ -232,6 +232,7 @@ common::Result<std::shared_ptr<CampaignCoordinator>> Service::find_campaign(
 
 common::Result<Service::Outcome> Service::sweep(const SweepRequest& request,
                                                 const CancelToken& cancel) {
+  VPP_RETURN_IF_ERROR(validate(request));
   const auto profile = chips::profile_by_name(request.module);
   if (!profile) {
     return Error{ErrorCode::kInvalidArgument,
@@ -267,31 +268,22 @@ common::Result<Service::Outcome> Service::sweep(const SweepRequest& request,
   core::CampaignEngine engine(std::move(plan), &store,
                               {.arenas = &arenas_, .pool = &pool_});
 
+  const auto finish = [&](auto grids,
+                          auto sweep_to_json) -> common::Result<Outcome> {
+    if (!grids) return std::move(grids).error();
+    const auto& grid = grids->front();
+    out.instrumentation = grid.instrumentation;
+    out.result_json = multi_axis ? core::grid_json(grid).str()
+                                 : sweep_to_json(grid.to_sweep());
+    return std::move(out);
+  };
   switch (phase) {
-    case core::JobPhase::kTrcd: {
-      VPP_ASSIGN_OR_RETURN(const std::vector<core::TrcdGrid> grids,
-                           engine.run_trcd());
-      out.result_json = multi_axis
-                            ? core::grid_json(grids.front()).str()
-                            : trcd_sweep_to_json(grids.front().to_sweep());
-      return out;
-    }
-    case core::JobPhase::kRetention: {
-      VPP_ASSIGN_OR_RETURN(const std::vector<core::RetentionGrid> grids,
-                           engine.run_retention());
-      out.result_json =
-          multi_axis ? core::grid_json(grids.front()).str()
-                     : retention_sweep_to_json(grids.front().to_sweep());
-      return out;
-    }
-    default: {
-      VPP_ASSIGN_OR_RETURN(const std::vector<core::HammerGrid> grids,
-                           engine.run_hammer());
-      out.result_json = multi_axis
-                            ? core::grid_json(grids.front()).str()
-                            : hammer_sweep_to_json(grids.front().to_sweep());
-      return out;
-    }
+    case core::JobPhase::kTrcd:
+      return finish(engine.run_trcd(), trcd_sweep_to_json);
+    case core::JobPhase::kRetention:
+      return finish(engine.run_retention(), retention_sweep_to_json);
+    default:
+      return finish(engine.run_hammer(), hammer_sweep_to_json);
   }
 }
 
@@ -354,21 +346,32 @@ common::Result<Service::Outcome> Service::replay(const std::string& dump_json,
                  "dump names unknown module '" + dump->module + "'"};
   }
   const std::size_t entries = dump->entries.size();
+  const std::uint64_t total_recorded = dump->total_recorded;
+  const double vpp_v = dump->vpp_v;
   softmc::TraceReplayer replayer(std::move(*dump));
   auto report = replayer.replay_on_profile(*profile);
   if (!report) return std::move(report).error();
 
+  // Everything `vppctl replay` prints, so its output does not depend on
+  // whether the replay ran in-process or on a daemon.
   common::JsonWriter w;
   w.begin_object()
       .kv("kind", "replay")
       .kv("module", profile->name)
+      .kv("vpp_v", vpp_v)
       .kv("entries", static_cast<std::uint64_t>(entries))
+      .kv("total_recorded", total_recorded)
       .kv("commands_replayed", report->commands_replayed)
       .kv("timing_violations",
           static_cast<std::uint64_t>(report->timing_violations))
-      .kv("original_failed", report->original_failed)
-      .kv("replay_failed", report->replay_failed)
-      .kv("reproduced", report->reproduced())
+      .kv("original_failed", report->original_failed);
+  if (report->original_failed) {
+    w.kv("original_code", common::error_code_name(report->original_code));
+  }
+  w.kv("replay_failed", report->replay_failed);
+  if (report->replay_failed) w.kv("replay_message", report->replay_message);
+  w.kv("reproduced", report->reproduced())
+      .kv("counters", report->counters.summary())
       .end_object();
   Outcome out;
   out.result_json = w.str();

@@ -90,8 +90,14 @@ class Service {
   struct Outcome {
     std::string result_json;  ///< the deterministic "result" member text
     RequestStats stats;
+    /// The sweep's rig instrumentation, for in-process callers only: a
+    /// daemon response does not carry it, and cells served from the cache
+    /// ran no rig session.
+    core::SweepInstrumentation instrumentation;
   };
 
+  /// Validates the request (server::validate) before planning anything, so
+  /// an in-process caller is refused with the daemon's text.
   [[nodiscard]] common::Result<Outcome> sweep(const SweepRequest& request,
                                               const common::CancelToken& cancel);
   [[nodiscard]] common::Result<Outcome> inject(const InjectRequest& request,

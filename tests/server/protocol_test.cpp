@@ -1,6 +1,7 @@
 // Wire-protocol unit tests: framing over a real loopback socket, request
 // and response codec round trips, request validation that the local and
-// remote paths share, inject on the daemon's lent arenas, the VPP level
+// remote paths share, inject on the daemon's lent arenas, the replay
+// document against a direct replay and over the wire, the VPP level
 // quantization that keeps the cache key and the physics in agreement, and
 // the content-addressed cache's key derivation and hit/miss accounting.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "chips/module_db.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/socket.hpp"
@@ -20,6 +22,9 @@
 #include "server/result_cache.hpp"
 #include "server/server.hpp"
 #include "server/service.hpp"
+#include "server_test_util.hpp"
+#include "softmc/trace_dump.hpp"
+#include "softmc/trace_replayer.hpp"
 
 namespace vppstudy::server {
 namespace {
@@ -184,22 +189,13 @@ TEST(ServerProtocol, InjectRequestNeedsModules) {
 }
 
 TEST(ServerProtocol, LocalAndRemotePathsRejectZeroRowsAlike) {
-  // vppctl's in-process sweep calls validate() and its inject builds the
-  // campaign through inject_campaign(), which calls it too; with --connect
-  // the daemon's parser does. Both paths refuse rows 0 with the same text.
+  // vppctl's in-process inject builds the campaign through
+  // inject_campaign(), which calls validate(); with --connect the daemon's
+  // parser does. Both paths refuse rows 0 with the same text.
   auto server = Server::start(Server::Config{});
   ASSERT_TRUE(server.has_value());
   auto client = Client::connect((*server)->port());
   ASSERT_TRUE(client.has_value());
-
-  SweepRequest sweep;
-  sweep.rows = 0;
-  const common::Status local_sweep = validate(sweep);
-  ASSERT_FALSE(local_sweep.ok());
-  EXPECT_EQ(local_sweep.error().code, ErrorCode::kInvalidArgument);
-  auto remote_sweep = client->sweep(sweep);
-  ASSERT_FALSE(remote_sweep.has_value());
-  EXPECT_EQ(remote_sweep.error().to_string(), local_sweep.error().to_string());
 
   InjectRequest inject;
   inject.rows = 0;
@@ -210,6 +206,33 @@ TEST(ServerProtocol, LocalAndRemotePathsRejectZeroRowsAlike) {
   ASSERT_FALSE(remote_inject.has_value());
   EXPECT_EQ(remote_inject.error().to_string(),
             local_inject.error().to_string());
+}
+
+TEST(ServerProtocol, InProcessSweepIsRefusedLikeTheWire) {
+  // Service::sweep validates before it plans, so an in-process caller
+  // (vppctl without --connect, the benchmark, tests) is refused with the
+  // text the daemon's parser sends back over the wire.
+  auto server = Server::start(Server::Config{});
+  ASSERT_TRUE(server.has_value());
+  auto client = Client::connect((*server)->port());
+  ASSERT_TRUE(client.has_value());
+  Service::Config config;
+  config.jobs = 1;
+  Service service(config);
+
+  SweepRequest voodoo;
+  voodoo.test = "voodoo";
+  SweepRequest zero_rows;
+  zero_rows.rows = 0;
+  for (const SweepRequest& request : {voodoo, zero_rows}) {
+    SCOPED_TRACE(request.test + " rows=" + std::to_string(request.rows));
+    auto local = service.sweep(request, common::CancelToken());
+    ASSERT_FALSE(local.has_value());
+    EXPECT_EQ(local.error().code, ErrorCode::kInvalidArgument);
+    auto remote = client->sweep(request);
+    ASSERT_FALSE(remote.has_value());
+    EXPECT_EQ(remote.error().to_string(), local.error().to_string());
+  }
 }
 
 TEST(ServerProtocol, InjectOnWarmDaemonArenasMatchesLocalRun) {
@@ -239,6 +262,98 @@ TEST(ServerProtocol, InjectOnWarmDaemonArenasMatchesLocalRun) {
     auto swept = service.sweep(sweep, common::CancelToken());
     ASSERT_TRUE(swept.has_value()) << swept.error().to_string();
     EXPECT_EQ(swept->result_json, expected_sweep->result_json);
+  }
+}
+
+/// The trace dump text `vppctl inject --dump-dir` writes for B3 when
+/// `faults` quarantines it.
+std::string quarantine_dump_text(const std::string& faults) {
+  InjectRequest request;
+  request.faults = faults;
+  request.rows = 4;
+  auto campaign = inject_campaign(request);
+  EXPECT_TRUE(campaign.has_value());
+  if (!campaign) return {};
+  const core::CampaignResult result = campaign->run();
+  EXPECT_FALSE(result.modules.front().completed);
+  EXPECT_TRUE(result.modules.front().has_dump);
+  return softmc::trace_dump_json(result.modules.front().dump).str();
+}
+
+TEST(ServerProtocol, ReplayDocumentMatchesADirectReplayFieldByField) {
+  Service::Config config;
+  config.jobs = 1;
+  Service service(config);
+  // A dropped ACT reproduces on replay; a spurious error does not (the
+  // replay rig injects nothing), so the two dumps cover both outcomes.
+  for (const char* faults : {"seed=3;drop_act@0", "seed=1;spurious@2000"}) {
+    SCOPED_TRACE(faults);
+    const std::string text = quarantine_dump_text(faults);
+    auto parsed = common::parse_json(text);
+    ASSERT_TRUE(parsed.has_value());
+    auto dump = softmc::parse_trace_dump(*parsed);
+    ASSERT_TRUE(dump.has_value()) << dump.error().to_string();
+    const auto profile = chips::profile_by_name(dump->module);
+    ASSERT_TRUE(profile.has_value());
+    auto report = softmc::TraceReplayer(*dump).replay_on_profile(*profile);
+    ASSERT_TRUE(report.has_value()) << report.error().to_string();
+
+    auto outcome = service.replay(text, common::CancelToken());
+    ASSERT_TRUE(outcome.has_value()) << outcome.error().to_string();
+    auto doc = common::parse_json(outcome->result_json);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->string_or("kind", ""), "replay");
+    EXPECT_EQ(doc->string_or("module", ""), dump->module);
+    EXPECT_EQ(doc->number_or("vpp_v", 0.0), dump->vpp_v);
+    EXPECT_EQ(doc->uint_or("entries", 0), dump->entries.size());
+    EXPECT_EQ(doc->uint_or("total_recorded", 0), dump->total_recorded);
+    EXPECT_EQ(doc->uint_or("commands_replayed", 0), report->commands_replayed);
+    EXPECT_EQ(doc->uint_or("timing_violations", 0), report->timing_violations);
+    EXPECT_EQ(doc->bool_or("original_failed", false), report->original_failed);
+    ASSERT_TRUE(report->original_failed);
+    EXPECT_EQ(doc->string_or("original_code", ""),
+              common::error_code_name(report->original_code));
+    EXPECT_EQ(doc->bool_or("replay_failed", false), report->replay_failed);
+    EXPECT_EQ(doc->string_or("replay_message", "clean"),
+              report->replay_failed ? report->replay_message : "clean");
+    EXPECT_EQ(doc->bool_or("reproduced", false), report->reproduced());
+    EXPECT_EQ(doc->string_or("counters", ""), report->counters.summary());
+  }
+}
+
+TEST(ServerProtocol, ReplayOverTheWireIsByteIdenticalToInProcess) {
+  const std::string text = quarantine_dump_text("seed=1;spurious@2000");
+  Service::Config config;
+  config.jobs = 1;
+  auto local = Service(config).replay(text, common::CancelToken());
+  ASSERT_TRUE(local.has_value()) << local.error().to_string();
+  auto local_doc = common::parse_json(local->result_json);
+  ASSERT_TRUE(local_doc.has_value());
+
+  auto server = Server::start(Server::Config{});
+  ASSERT_TRUE(server.has_value());
+  // The response splices the daemon's result text verbatim.
+  auto raw = testing::RawConn::connect((*server)->port());
+  raw.send_payload(encode_replay_request(1, text));
+  auto payload = raw.recv_payload();
+  ASSERT_TRUE(payload.has_value()) << payload.error().to_string();
+  EXPECT_EQ(testing::extract_result_text(*payload), local->result_json);
+
+  // The typed Client hands back that same document, member for member.
+  auto client = Client::connect((*server)->port());
+  ASSERT_TRUE(client.has_value());
+  auto remote = client->replay(text);
+  ASSERT_TRUE(remote.has_value()) << remote.error().to_string();
+  ASSERT_EQ(remote->members().size(), local_doc->members().size());
+  for (std::size_t i = 0; i < local_doc->members().size(); ++i) {
+    const auto& [key, value] = local_doc->members()[i];
+    SCOPED_TRACE(key);
+    EXPECT_EQ(remote->members()[i].first, key);
+    const common::JsonValue& got = remote->members()[i].second;
+    ASSERT_EQ(got.kind(), value.kind());
+    EXPECT_EQ(got.as_bool(), value.as_bool());
+    EXPECT_EQ(got.as_number(), value.as_number());
+    EXPECT_EQ(got.as_string(), value.as_string());
   }
 }
 

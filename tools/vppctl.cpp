@@ -13,31 +13,41 @@
 //       Run a full VPP sweep and print (or export) the series. --counters
 //       prints the aggregated instrumentation of every rig session the
 //       sweep ran; --csv additionally writes the same instrumentation as a
-//       machine-readable JSON sidecar at <out.csv>.json. --connect PORT
-//       sends the sweep to a vppd daemon on 127.0.0.1:PORT instead of
-//       running it in-process: same numbers, byte-identical CSV, but no
-//       instrumentation sidecar (a cached response ran no rig sessions).
-//       Exit 0 on success, 3 on a typed error (local or remote); an
-//       out-of-range request is refused with the daemon's message either
-//       way.
+//       machine-readable JSON sidecar at <out.csv>.json.
 //   vppctl profile --module B6 [--vpp 1.7] [--rows 128]
 //       REAPER-style retention profile at a VPP level.
 //   vppctl inject  --faults "seed=7;drop_act=0.001;spurious@5000"
 //                  [--modules B3,A0] [--rows 8] [--retries 3] [--seed 1]
 //                  [--trace-cap 4096] [--jobs 1] [--csv out.csv]
-//                  [--dump-dir DIR]
+//                  [--dump-dir DIR] [--connect PORT]
 //       Run a fault-injected RowHammer campaign under the harness retry
 //       policy: each job (a module's WCDP prep or one shard) retries in
 //       place, and a module whose job exhausts its retries is quarantined.
 //       Deterministic: the same invocation produces the same quarantine
 //       set and byte-identical --csv/JSON exports at any --jobs. --dump-dir
-//       writes a replayable trace dump per quarantined module. Exit 0 when
-//       the campaign ran (quarantines included), 3 on a typed error.
+//       writes a replayable trace dump per quarantined module.
 //   vppctl replay  <dump.json> [--verbose] [--connect PORT]
 //       Feed a captured trace dump through a fresh session and check that
-//       it reproduces the recorded outcome. Exit 0 when reproduced, 4 when
-//       the replay diverged, 3 on a typed error. --connect ships the dump
-//       text to a vppd daemon and replays there.
+//       it reproduces the recorded outcome.
+//
+//   --connect PORT picks the transport of sweep, inject and replay, not the
+//   code: without it the request runs on an in-process server::Service
+//   (inject: on the campaign builder the daemon's inject uses); with it
+//   the same request goes to a vppd daemon on 127.0.0.1:PORT. Either way
+//   stdout is rendered from the same result document, so it is the same,
+//   apart from what only an in-process run has: the --counters
+//   `instrumentation:` line and the --csv JSON sidecar of sweep, and the
+//   `campaign:` line and the --csv/--dump-dir artifacts of inject (with
+//   --connect those would land on the daemon's filesystem, so asking for
+//   them is an error). A remote sweep adds one `vppd:` line with the
+//   daemon's cache accounting. Exit codes, the same on both paths:
+//     0  success: the sweep ran, the inject campaign ran (quarantined
+//        modules included), the replay reproduced the recorded outcome;
+//     3  typed error: a request out of range (refused with the daemon's
+//        text), an unknown module, a bad fault spec, an unreadable dump,
+//        an export I/O failure, a failed connection;
+//     4  the replay diverged from the recorded outcome.
+//
 //   vppctl campaign run    [--manifest PATH] --module B3 [--modules B3,A0]
 //                          [--test rowhammer|trcd|retention] [--rows 16]
 //                          [--step 0.2] [--temps 50,65,80]
@@ -80,10 +90,6 @@
 //       so the final --csv/--json is byte-identical to a single-host run.
 //       Exit 0 when the campaign completed, 2 on usage errors, 3 on typed
 //       errors (including any worker's fatal error).
-//
-//   --connect PORT is also accepted by inject. Remote inject does not
-//   support --csv or --dump-dir (the artifacts would land on the daemon's
-//   filesystem); requesting them remotely is a usage error (exit 3).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -91,7 +97,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -113,9 +121,7 @@
 #include "server/server.hpp"
 #include "server/service.hpp"
 #include "server/worker.hpp"
-#include "softmc/fault_injector.hpp"
 #include "softmc/trace_dump.hpp"
-#include "softmc/trace_replayer.hpp"
 
 namespace {
 
@@ -231,12 +237,53 @@ server::SweepRequest sweep_request_from_flags(
   return request;
 }
 
-// The render helpers below are shared by the in-process and --connect paths
-// so both produce the same table and byte-identical CSV. `sidecar` is false
-// for remote results: a cached response ran no rig sessions, so there is no
-// meaningful instrumentation to write.
-int render_hammer_sweep(const core::ModuleSweepResult& sweep,
-                        const std::string& csv_path, bool sidecar) {
+/// Print a typed error and return its exit code.
+int fail(const common::Error& error) {
+  std::fprintf(stderr, "%s\n", error.to_string().c_str());
+  return 3;
+}
+
+// --- daemon verbs ------------------------------------------------------------
+// sweep, inject and replay each take one path from request to stdout; only
+// where the result document comes from depends on --connect.
+
+/// A daemon verb's result document, plus the run's instrumentation when it
+/// ran in-process (a daemon response does not carry it).
+struct VerbResult {
+  common::JsonValue doc;
+  std::optional<core::SweepInstrumentation> instrumentation;
+};
+
+/// The in-process Service of sweep and replay: one job, as any local engine
+/// run uses, and a fresh cache, so every cell is computed.
+server::Service in_process_service() {
+  server::Service::Config config;
+  config.jobs = 1;
+  return server::Service(config);
+}
+
+/// The transport switch: without --connect, `local` computes the verb's
+/// Service::Outcome in this process; with --connect PORT, `remote` asks the
+/// vppd daemon on 127.0.0.1:PORT for the result document.
+template <typename Local, typename Remote>
+common::Result<VerbResult> run_verb(
+    const std::map<std::string, std::string>& flags, Local local,
+    Remote remote) {
+  const std::string connect = flag_or(flags, "connect", "");
+  if (connect.empty()) {
+    VPP_ASSIGN_OR_RETURN(server::Service::Outcome outcome, local());
+    VPP_ASSIGN_OR_RETURN(common::JsonValue doc,
+                         common::parse_json(outcome.result_json));
+    return VerbResult{std::move(doc), outcome.instrumentation};
+  }
+  VPP_ASSIGN_OR_RETURN(server::Client client,
+                       server::Client::connect(static_cast<std::uint16_t>(
+                           std::atoi(connect.c_str()))));
+  VPP_ASSIGN_OR_RETURN(common::JsonValue doc, remote(client));
+  return VerbResult{std::move(doc), std::nullopt};
+}
+
+common::CsvWriter print_hammer_sweep(const core::ModuleSweepResult& sweep) {
   common::CsvWriter csv({"vpp_v", "min_hc_first", "max_ber"});
   std::printf("%-8s %12s %12s\n", "VPP[V]", "minHCfirst", "maxBER");
   for (std::size_t l = 0; l < sweep.vpp_levels.size(); ++l) {
@@ -248,22 +295,10 @@ int render_hammer_sweep(const core::ModuleSweepResult& sweep,
     csv.add(static_cast<std::uint64_t>(sweep.min_hc_first_at(l)));
     csv.add(sweep.max_ber_at(l));
   }
-  if (!csv_path.empty()) {
-    if (!csv.write_file(csv_path)) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
-      return 3;
-    }
-    if (sidecar && !core::write_instrumentation_sidecar(
-                       csv_path, core::instrumentation_json(sweep))) {
-      std::fprintf(stderr, "cannot write %s.json\n", csv_path.c_str());
-      return 3;
-    }
-  }
-  return 0;
+  return csv;
 }
 
-int render_trcd_sweep(const core::TrcdSweepResult& sweep,
-                      const std::string& csv_path, bool sidecar) {
+common::CsvWriter print_trcd_sweep(const core::TrcdSweepResult& sweep) {
   common::CsvWriter csv({"vpp_v", "trcd_min_ns"});
   std::printf("%-8s %12s\n", "VPP[V]", "tRCDmin[ns]");
   for (std::size_t l = 0; l < sweep.vpp_levels.size(); ++l) {
@@ -272,22 +307,11 @@ int render_trcd_sweep(const core::TrcdSweepResult& sweep,
     csv.add(sweep.vpp_levels[l]);
     csv.add(sweep.trcd_min_ns[l]);
   }
-  if (!csv_path.empty()) {
-    if (!csv.write_file(csv_path)) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
-      return 3;
-    }
-    if (sidecar && !core::write_instrumentation_sidecar(
-                       csv_path, core::instrumentation_json(sweep))) {
-      std::fprintf(stderr, "cannot write %s.json\n", csv_path.c_str());
-      return 3;
-    }
-  }
-  return 0;
+  return csv;
 }
 
-int render_retention_sweep(const core::RetentionSweepResult& sweep,
-                           const std::string& csv_path, bool sidecar) {
+common::CsvWriter print_retention_sweep(
+    const core::RetentionSweepResult& sweep) {
   common::CsvWriter csv({"vpp_v", "trefw_ms", "mean_ber"});
   std::printf("%-8s %10s %12s\n", "VPP[V]", "tREFW[ms]", "meanBER");
   for (std::size_t l = 0; l < sweep.vpp_levels.size(); ++l) {
@@ -300,112 +324,79 @@ int render_retention_sweep(const core::RetentionSweepResult& sweep,
       csv.add(sweep.mean_ber[l][w]);
     }
   }
-  if (!csv_path.empty()) {
-    if (!csv.write_file(csv_path)) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
-      return 3;
-    }
-    if (sidecar && !core::write_instrumentation_sidecar(
-                       csv_path, core::instrumentation_json(sweep))) {
-      std::fprintf(stderr, "cannot write %s.json\n", csv_path.c_str());
-      return 3;
-    }
+  return csv;
+}
+
+/// Print a decoded sweep's table and write its --csv series; with the run's
+/// instrumentation, also the <csv>.json sidecar.
+template <typename Sweep>
+int write_sweep(common::Result<Sweep> sweep,
+                common::CsvWriter (*print)(const Sweep&),
+                const std::string& csv_path,
+                const std::optional<core::SweepInstrumentation>& instr) {
+  if (!sweep) return fail(sweep.error());
+  const common::CsvWriter csv = print(*sweep);
+  if (csv_path.empty()) return 0;
+  if (!csv.write_file(csv_path)) {
+    std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
+    return 3;
+  }
+  if (!instr) return 0;
+  sweep->instrumentation = *instr;
+  if (!core::write_instrumentation_sidecar(csv_path,
+                                           core::instrumentation_json(*sweep))) {
+    std::fprintf(stderr, "cannot write %s.json\n", csv_path.c_str());
+    return 3;
   }
   return 0;
 }
 
-int cmd_sweep_remote(const server::SweepRequest& request, std::uint16_t port,
-                     const std::string& csv_path) {
-  auto client = server::Client::connect(port);
-  if (!client) {
-    std::fprintf(stderr, "%s\n", client.error().to_string().c_str());
-    return 3;
+/// Print a sweep result document (Service::sweep) as a table and export it;
+/// with --counters, an in-process run first prints its instrumentation.
+int render_sweep(const VerbResult& result, const std::string& csv_path,
+                 bool counters) {
+  if (result.instrumentation && counters) {
+    std::printf("instrumentation: %s\n",
+                result.instrumentation->summary().c_str());
   }
-  auto response = client->sweep(request);
-  if (!response) {
-    std::fprintf(stderr, "%s\n", response.error().to_string().c_str());
-    return 3;
-  }
-  std::printf("vppd: %llu cells from cache, %llu computed\n",
-              static_cast<unsigned long long>(response->stats.cache_hits),
-              static_cast<unsigned long long>(response->stats.cache_misses));
-  const std::string kind = response->result.string_or("kind", "");
+  const common::JsonValue& doc = result.doc;
+  const std::string kind = doc.string_or("kind", "");
   if (kind == "rowhammer") {
-    auto sweep = server::hammer_sweep_from_json(response->result);
-    if (!sweep) {
-      std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
-      return 3;
-    }
-    return render_hammer_sweep(*sweep, csv_path, /*sidecar=*/false);
+    return write_sweep(server::hammer_sweep_from_json(doc), print_hammer_sweep,
+                       csv_path, result.instrumentation);
   }
   if (kind == "trcd") {
-    auto sweep = server::trcd_sweep_from_json(response->result);
-    if (!sweep) {
-      std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
-      return 3;
-    }
-    return render_trcd_sweep(*sweep, csv_path, /*sidecar=*/false);
+    return write_sweep(server::trcd_sweep_from_json(doc), print_trcd_sweep,
+                       csv_path, result.instrumentation);
   }
   if (kind == "retention") {
-    auto sweep = server::retention_sweep_from_json(response->result);
-    if (!sweep) {
-      std::fprintf(stderr, "%s\n", sweep.error().to_string().c_str());
-      return 3;
-    }
-    return render_retention_sweep(*sweep, csv_path, /*sidecar=*/false);
+    return write_sweep(server::retention_sweep_from_json(doc),
+                       print_retention_sweep, csv_path,
+                       result.instrumentation);
   }
-  std::fprintf(stderr, "vppd returned unknown result kind '%s'\n",
-               kind.c_str());
+  std::fprintf(stderr, "unknown sweep result kind '%s'\n", kind.c_str());
   return 3;
 }
 
 int cmd_sweep(const std::map<std::string, std::string>& flags) {
   const server::SweepRequest request = sweep_request_from_flags(flags);
-  const std::string csv_path = flag_or(flags, "csv", "");
-  const std::string connect = flag_or(flags, "connect", "");
-  if (!connect.empty()) {
-    return cmd_sweep_remote(
-        request, static_cast<std::uint16_t>(std::atoi(connect.c_str())),
-        csv_path);
-  }
-  if (auto st = server::validate(request); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.error().to_string().c_str());
-    return 3;
-  }
-
-  const auto profile = chips::profile_by_name(request.module);
-  if (!profile) {
-    std::fprintf(stderr, "unknown module\n");
-    return 1;
-  }
-  // The same config builder the daemon uses, so a remote sweep is the same
-  // sweep (VPP levels quantized to the supply's millivolt grid included).
-  const core::SweepConfig cfg = server::sweep_config_from_request(request);
-
-  core::CampaignPlan plan;
-  plan.sweep = cfg;
-  plan.modules = {*profile};
-  plan.seed = request.seed;
-  core::CampaignEngine engine(std::move(plan));
-  const auto finish = [&](auto grids, auto render) -> int {
-    if (!grids) {
-      std::fprintf(stderr, "%s\n", grids.error().to_string().c_str());
-      return 1;
-    }
-    const auto sweep = grids->front().to_sweep();
-    if (has_flag(flags, "counters")) {
-      std::printf("instrumentation: %s\n",
-                  sweep.instrumentation.summary().c_str());
-    }
-    return render(sweep, csv_path, /*sidecar=*/true);
-  };
-  if (request.test == "trcd") {
-    return finish(engine.run_trcd(), render_trcd_sweep);
-  }
-  if (request.test == "retention") {
-    return finish(engine.run_retention(), render_retention_sweep);
-  }
-  return finish(engine.run_hammer(), render_hammer_sweep);  // validated
+  auto result = run_verb(
+      flags,
+      [&] {
+        return in_process_service().sweep(request, common::CancelToken());
+      },
+      [&](server::Client& client) -> common::Result<common::JsonValue> {
+        VPP_ASSIGN_OR_RETURN(server::Client::SweepResponse response,
+                             client.sweep(request));
+        std::printf("vppd: %llu cells from cache, %llu computed\n",
+                    static_cast<unsigned long long>(response.stats.cache_hits),
+                    static_cast<unsigned long long>(
+                        response.stats.cache_misses));
+        return std::move(response.result);
+      });
+  if (!result) return fail(result.error());
+  return render_sweep(*result, flag_or(flags, "csv", ""),
+                      has_flag(flags, "counters"));
 }
 
 int cmd_profile(const std::map<std::string, std::string>& flags) {
@@ -471,28 +462,11 @@ server::InjectRequest inject_request_from_flags(
   return request;
 }
 
-int cmd_inject_remote(const std::map<std::string, std::string>& flags,
-                      const server::InjectRequest& request,
-                      std::uint16_t port) {
-  if (has_flag(flags, "csv") || has_flag(flags, "dump-dir")) {
-    std::fprintf(stderr,
-                 "--csv/--dump-dir are not supported with --connect (the "
-                 "artifacts would land on the daemon's filesystem)\n");
-    return 3;
-  }
-  auto client = server::Client::connect(port);
-  if (!client) {
-    std::fprintf(stderr, "%s\n", client.error().to_string().c_str());
-    return 3;
-  }
-  auto result = client->inject(request);
-  if (!result) {
-    std::fprintf(stderr, "%s\n", result.error().to_string().c_str());
-    return 3;
-  }
-  // The daemon answers with core::campaign_json, the document local runs
-  // write beside --csv.
-  if (const common::JsonValue* modules = result->find("modules")) {
+/// Print an inject result document (core::campaign_json) as a table; an
+/// in-process run adds its instrumentation line.
+void render_inject(const VerbResult& result) {
+  const common::JsonValue& doc = result.doc;
+  if (const common::JsonValue* modules = doc.find("modules")) {
     for (const auto& m : modules->items()) {
       const std::string status = m.string_or("status", "?");
       std::uint64_t injected = 0;  // InjectionCounts::total()
@@ -513,48 +487,44 @@ int cmd_inject_remote(const std::map<std::string, std::string>& flags,
       std::printf("\n");
     }
   }
+  if (result.instrumentation) {
+    std::printf("campaign: %s\n", result.instrumentation->summary().c_str());
+  }
   std::printf(
       "completed %llu/%llu modules, HCfirst CV (completed only) = %.4f\n",
-      static_cast<unsigned long long>(result->uint_or("modules_completed", 0)),
-      static_cast<unsigned long long>(result->uint_or("modules_total", 0)),
-      result->number_or("hc_first_cv", 0.0));
-  return 0;
+      static_cast<unsigned long long>(doc.uint_or("modules_completed", 0)),
+      static_cast<unsigned long long>(doc.uint_or("modules_total", 0)),
+      doc.number_or("hc_first_cv", 0.0));
 }
 
 int cmd_inject(const std::map<std::string, std::string>& flags) {
-  // Typed-error exit code contract (asserted by the replay-fuzz CI job):
-  // 0 = campaign ran to completion (quarantined modules included),
-  // 3 = typed error (bad spec, unknown module, export I/O failure).
   const server::InjectRequest request = inject_request_from_flags(flags);
-  const std::string connect = flag_or(flags, "connect", "");
-  if (!connect.empty()) {
-    return cmd_inject_remote(
-        flags, request,
-        static_cast<std::uint16_t>(std::atoi(connect.c_str())));
-  }
-  // The same campaign builder the daemon uses, so a remote inject is the
-  // same campaign.
-  auto built = server::inject_campaign(request);
-  if (!built) {
-    std::fprintf(stderr, "%s\n", built.error().to_string().c_str());
+  if (!flag_or(flags, "connect", "").empty() &&
+      (has_flag(flags, "csv") || has_flag(flags, "dump-dir"))) {
+    std::fprintf(stderr,
+                 "--csv/--dump-dir are not supported with --connect (the "
+                 "artifacts would land on the daemon's filesystem)\n");
     return 3;
   }
-  built->plan.jobs = std::atoi(flag_or(flags, "jobs", "1").c_str());
-  const core::CampaignResult campaign = built->run();
-
-  for (const auto& m : campaign.modules) {
-    std::printf("%-4s %-11s attempts=%u injected=%llu", m.module_name.c_str(),
-                m.completed ? "completed" : "quarantined", m.attempts,
-                static_cast<unsigned long long>(m.injections.total()));
-    if (!m.completed) {
-      std::printf("  %s", m.error_message.c_str());
-    }
-    std::printf("\n");
-  }
-  std::printf("campaign: %s\n", campaign.instrumentation.summary().c_str());
-  std::printf("completed %zu/%zu modules, HCfirst CV (completed only) = %.4f\n",
-              campaign.completed_count(), campaign.modules.size(),
-              campaign.hc_first_cv());
+  // The same campaign builder the daemon uses, so a remote inject is the
+  // same campaign. Only an in-process run keeps the campaign its --csv and
+  // --dump-dir artifacts are written from.
+  std::optional<core::CampaignResult> campaign;
+  auto result = run_verb(
+      flags,
+      [&]() -> common::Result<server::Service::Outcome> {
+        VPP_ASSIGN_OR_RETURN(server::InjectCampaign built,
+                             server::inject_campaign(request));
+        built.plan.jobs = std::atoi(flag_or(flags, "jobs", "1").c_str());
+        campaign = built.run();
+        return server::Service::Outcome{core::campaign_json(*campaign).str(),
+                                        {},
+                                        campaign->instrumentation};
+      },
+      [&](server::Client& client) { return client.inject(request); });
+  if (!result) return fail(result.error());
+  render_inject(*result);
+  if (!campaign) return 0;
 
   const std::string dump_dir = flag_or(flags, "dump-dir", "");
   if (!dump_dir.empty()) {
@@ -565,7 +535,7 @@ int cmd_inject(const std::map<std::string, std::string>& flags) {
                    dir_ec.message().c_str());
       return 3;
     }
-    for (const auto& m : campaign.modules) {
+    for (const auto& m : campaign->modules) {
       if (!m.has_dump) continue;
       const std::string path =
           dump_dir + "/" + m.module_name + ".trace.json";
@@ -580,12 +550,12 @@ int cmd_inject(const std::map<std::string, std::string>& flags) {
 
   const std::string csv_path = flag_or(flags, "csv", "");
   if (!csv_path.empty()) {
-    if (!core::campaign_to_csv(campaign).write_file(csv_path)) {
+    if (!core::campaign_to_csv(*campaign).write_file(csv_path)) {
       std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
       return 3;
     }
     if (!core::write_instrumentation_sidecar(csv_path,
-                                             core::campaign_json(campaign))) {
+                                             core::campaign_json(*campaign))) {
       std::fprintf(stderr, "cannot write %s.json\n", csv_path.c_str());
       return 3;
     }
@@ -593,35 +563,29 @@ int cmd_inject(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_replay_remote(const std::string& path, std::uint16_t port) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return 3;
+/// Print a replay result document (Service::replay); exit 0 when the dump's
+/// outcome reproduced, 4 when it diverged.
+int render_replay(const common::JsonValue& doc, bool verbose) {
+  const std::uint64_t entries = doc.uint_or("entries", 0);
+  const std::uint64_t total = doc.uint_or("total_recorded", 0);
+  std::printf("replaying %llu of %llu commands on %s at VPP=%.2fV%s\n",
+              static_cast<unsigned long long>(entries),
+              static_cast<unsigned long long>(total),
+              doc.string_or("module", "?").c_str(),
+              doc.number_or("vpp_v", 0.0),
+              total > entries ? " (ring truncated: best-effort)" : "");
+  if (verbose) {
+    std::printf("  replayed %llu commands, %llu timing violations\n",
+                static_cast<unsigned long long>(
+                    doc.uint_or("commands_replayed", 0)),
+                static_cast<unsigned long long>(
+                    doc.uint_or("timing_violations", 0)));
+    std::printf("  counters: %s\n", doc.string_or("counters", "").c_str());
   }
-  std::string text;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
-
-  auto client = server::Client::connect(port);
-  if (!client) {
-    std::fprintf(stderr, "%s\n", client.error().to_string().c_str());
-    return 3;
-  }
-  auto result = client->replay(text);
-  if (!result) {
-    std::fprintf(stderr, "%s\n", result.error().to_string().c_str());
-    return 3;
-  }
-  std::printf("replayed %llu commands on %s (%zu timing violations)\n",
-              static_cast<unsigned long long>(
-                  result->uint_or("commands_replayed", 0)),
-              result->string_or("module", "?").c_str(),
-              static_cast<std::size_t>(result->uint_or("timing_violations", 0)));
-  if (result->bool_or("reproduced", false)) {
+  std::printf("original: %s, replay: %s\n",
+              doc.string_or("original_code", "clean").c_str(),
+              doc.string_or("replay_message", "clean").c_str());
+  if (doc.bool_or("reproduced", false)) {
     std::printf("reproduced: yes\n");
     return 0;
   }
@@ -631,52 +595,21 @@ int cmd_replay_remote(const std::string& path, std::uint16_t port) {
 
 int cmd_replay(const std::string& path,
                const std::map<std::string, std::string>& flags) {
-  const std::string connect = flag_or(flags, "connect", "");
-  if (!connect.empty()) {
-    return cmd_replay_remote(
-        path, static_cast<std::uint16_t>(std::atoi(connect.c_str())));
-  }
-  auto dump = softmc::load_trace_dump(path);
-  if (!dump) {
-    std::fprintf(stderr, "%s\n", dump.error().to_string().c_str());
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 3;
   }
-  const auto profile = chips::profile_by_name(dump->module);
-  if (!profile) {
-    std::fprintf(stderr, "dump names unknown module '%s'\n",
-                 dump->module.c_str());
-    return 3;
-  }
-  std::printf("replaying %zu of %llu commands on %s at VPP=%.2fV%s\n",
-              dump->entries.size(),
-              static_cast<unsigned long long>(dump->total_recorded),
-              dump->module.c_str(), dump->vpp_v,
-              dump->truncated() ? " (ring truncated: best-effort)" : "");
-
-  softmc::TraceReplayer replayer(std::move(*dump));
-  auto report = replayer.replay_on_profile(*profile);
-  if (!report) {
-    std::fprintf(stderr, "%s\n", report.error().to_string().c_str());
-    return 3;
-  }
-  if (has_flag(flags, "verbose")) {
-    std::printf("  replayed %llu commands, %zu timing violations\n",
-                static_cast<unsigned long long>(report->commands_replayed),
-                report->timing_violations);
-    std::printf("  counters: %s\n", report->counters.summary().c_str());
-  }
-  std::printf("original: %s, replay: %s\n",
-              report->original_failed
-                  ? std::string(common::error_code_name(report->original_code))
-                        .c_str()
-                  : "clean",
-              report->replay_failed ? report->replay_message.c_str() : "clean");
-  if (report->reproduced()) {
-    std::printf("reproduced: yes\n");
-    return 0;
-  }
-  std::printf("reproduced: NO\n");
-  return 4;
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  auto result = run_verb(
+      flags,
+      [&] {
+        return in_process_service().replay(text, common::CancelToken());
+      },
+      [&](server::Client& client) { return client.replay(text); });
+  if (!result) return fail(result.error());
+  return render_replay(result->doc, has_flag(flags, "verbose"));
 }
 
 std::vector<std::string> split_csv_list(const std::string& text) {
