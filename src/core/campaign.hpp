@@ -8,8 +8,12 @@
 // set, stream keys, and assembly order of the paper's (module x VPP) grid
 // (core/axis.hpp explains the seed-normalization rule that makes this hold),
 // and each grid's to_sweep() reduces it to the per-module result structs of
-// core/study.hpp. CampaignEngine::run_resilient is the retry/quarantine form
-// of the RowHammer campaign under injected faults, on the same pipeline.
+// core/study.hpp. Every shard of Algs. 1-3 runs one per-row loop templated
+// on its harness test (core/campaign_engine.cpp); a phase differs only in
+// its row type, its test, its ManifestShard vector and its CellStore entry
+// points. CampaignEngine::run_resilient is the retry/quarantine form of the
+// RowHammer campaign under injected faults, on the same pipeline and loop,
+// so pattern-axis rows run under the fault plan too.
 //
 // Layers the engine composes:
 //

@@ -1,21 +1,31 @@
 // CampaignEngine execution: plan compilation into (module, point, shard)
-// units, and one unit pipeline -- the layered resolve order (manifest ->
-// CellStore -> compute) and the deterministic drain -- that runs the whole
-// grid for CampaignEngine::run_* (with checkpoint journal, compaction and
-// grid assembly), a leased index subset for run_campaign_shards (no
-// checkpoint; records returned to the coordinator), and run_resilient's
-// fault-injected grid. Manifest/plan serialization lives in campaign.cpp.
+// units, the one per-row shard loop of Algs. 1-3 with the phase traits that
+// pick its test, and one unit pipeline -- the layered resolve order
+// (manifest -> CellStore -> compute) and the deterministic drain -- that
+// runs the whole grid for CampaignEngine::run_* (with checkpoint journal,
+// compaction and grid assembly), a leased index subset for
+// run_campaign_shards (no checkpoint; records returned to the coordinator),
+// and run_resilient's fault-injected grid. Manifest/plan serialization lives
+// in campaign.cpp.
 #include <algorithm>
 #include <future>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/campaign.hpp"
 #include "core/campaign_journal.hpp"
 #include "core/campaign_lease.hpp"
+#include "harness/attack_patterns.hpp"
+#include "harness/retention_test.hpp"
+#include "harness/rowhammer_test.hpp"
+#include "harness/trcd_test.hpp"
 #include "softmc/session.hpp"
 #include "stats/descriptive.hpp"
 
@@ -176,14 +186,147 @@ Exec make_exec(const CampaignEngine::Execution& injected, int jobs,
   return exec;
 }
 
+// --- The per-row shard loop --------------------------------------------------
+
+/// The rows one shard job computed, in input order, and its session counts.
+template <typename RowResult>
+struct ShardRows {
+  std::vector<RowResult> rows;
+  softmc::CommandCounts counts;
+};
+
+/// Alg. 1 with a non-uniform hammer pattern: each sampled row is the victim
+/// of one harness::AttackKind::kFuzzed attack running `spec`, scored by
+/// post-TRR flips. The result reuses RowHammerRowResult so manifests, caches
+/// and grids carry pattern cells unchanged: hc_first holds the post-TRR flip
+/// count across the pattern's victim set (the fuzzer's fitness), ber the
+/// matching bit error rate.
+class PatternRowTest {
+ public:
+  PatternRowTest(softmc::Session& session, const harness::PatternSpec& spec,
+                 std::uint64_t hammer_count)
+      : session_(session), spec_(spec), hammer_count_(hammer_count) {}
+
+  [[nodiscard]] common::Expected<harness::RowHammerRowResult> test_row(
+      std::uint32_t bank, std::uint32_t row, dram::DataPattern wcdp) {
+    // A spec whose widest offset falls off the bank at this victim cannot
+    // attack it: record a zero-flip row instead of failing the campaign, so
+    // every pattern is scored over the same row sample (edge rows simply
+    // contribute nothing for patterns too wide to reach them).
+    const dram::RowMapping& mapping = session_.module().mapping();
+    const std::int64_t victim =
+        static_cast<std::int64_t>(mapping.logical_to_physical(row));
+    for (const harness::AggressorSpec& a : spec_.aggressors) {
+      const std::int64_t phys = victim + a.offset;
+      if (phys < 0 || phys >= static_cast<std::int64_t>(mapping.rows())) {
+        return harness::RowHammerRowResult{row, wcdp, 0, 0.0};
+      }
+    }
+    harness::AttackConfig attack;
+    attack.kind = harness::AttackKind::kFuzzed;
+    attack.pattern = &spec_;
+    attack.hammer_count = hammer_count_;
+    attack.victim_pattern = wcdp;
+    VPP_ASSIGN_OR_RETURN(const harness::AttackOutcome r,
+                         harness::run_attack(session_, bank, row, attack));
+    harness::RowHammerRowResult out;
+    out.row = row;
+    out.wcdp = wcdp;
+    out.hc_first = r.total_flips;
+    out.ber = r.victim_rows == 0
+                  ? 0.0
+                  : static_cast<double>(r.total_flips) /
+                        (static_cast<double>(r.victim_rows) *
+                         static_cast<double>(dram::kBitsPerRow));
+    return out;
+  }
+
+ private:
+  softmc::Session& session_;
+  const harness::PatternSpec& spec_;
+  std::uint64_t hammer_count_;
+};
+
+/// Unlike the refresh-free tests of Algs. 1-3, a pattern attack issues REF,
+/// so TRR tracker state would leak from one victim's attack into the next.
+/// The shard loop resets the rig before each such row and sums per-row
+/// counts, which keeps every result a pure function of its row key (and
+/// shard regrouping byte-identical).
+template <typename Test>
+constexpr bool kResetsPerRow = std::is_same_v<Test, PatternRowTest>;
+
+/// The one per-row loop of Algs. 1-3, for the phase of `Traits` (below):
+/// set up the session at the point's VPP and temperature, then per row poll
+/// `cancel`, re-key the noise stream (point_stream_seed), run
+/// `test.test_row`, and attach the module/VPP context to any error. `what`
+/// names the shard in errors ("hammer shard cancelled"). Phases without a
+/// WCDP prep pass an empty `wcdp` and test every row with the checkerboard.
+template <typename Traits, typename Test>
+common::Expected<ShardRows<typename Traits::RowResult>> run_shard_rows(
+    softmc::Session& session, Test& test, const char* what,
+    std::uint64_t seed, const AxisPoint& point, std::uint32_t bank,
+    std::span<const std::uint32_t> rows,
+    std::span<const dram::DataPattern> wcdp,
+    const common::CancelToken& cancel) {
+  constexpr JobPhase phase = Traits::kPhase;
+  const dram::ModuleProfile& profile = session.module().profile();
+  const auto in_cell = [&](Error error) {
+    return std::move(error).with_module(profile.name).with_vpp_mv(
+        static_cast<std::int64_t>(vpp_millivolts(point.vpp_v)));
+  };
+  const auto setup = [&]() -> common::Status {
+    if (auto st = setup_shard_session(
+            session, point.resolved_temperature(phase), point.vpp_v);
+        !st.ok()) {
+      return in_cell(std::move(st).error())
+          .with_context(std::string(what) + " shard setup");
+    }
+    return common::Status::ok_status();
+  };
+  if constexpr (!kResetsPerRow<Test>) VPP_RETURN_IF_ERROR(setup());
+  ShardRows<typename Traits::RowResult> out;
+  out.rows.reserve(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (cancel.cancelled()) {
+      return in_cell(Error{ErrorCode::kCancelled,
+                           std::string(what) + " shard cancelled"});
+    }
+    if constexpr (kResetsPerRow<Test>) {
+      session.reset_rig();
+      VPP_RETURN_IF_ERROR(setup());
+    }
+    session.set_noise_stream(
+        point_stream_seed(seed, profile.seed, phase, rows[i], point));
+    auto r = test.test_row(
+        bank, rows[i], wcdp.empty() ? dram::DataPattern::kCheckerAA : wcdp[i]);
+    if (!r) return in_cell(std::move(r).error());
+    out.rows.push_back(std::move(*r));
+    if constexpr (kResetsPerRow<Test>) out.counts += session.counters();
+  }
+  if constexpr (!kResetsPerRow<Test>) out.counts = session.counters();
+  return out;
+}
+
 // --- Phase traits ------------------------------------------------------------
-// One trait set per characterization phase binds the shard primitive, the
-// CellStore entry points, and the manifest payload vector; the generic
-// runner below is phase-agnostic.
+// One trait set per characterization phase names what differs between
+// phases: the row type, the test its shards run (with_test builds it and
+// hands it to the shard loop), the ManifestShard vector, and the CellStore
+// entry points. The unit pipeline below is phase-agnostic.
+
+/// The hammer config at one grid point: a baseline point uses the sweep's
+/// config untouched (byte-compat with a VPP-only sweep); a hammer-count
+/// axis overrides the fixed BER hammer count, an on-time axis overrides the
+/// aggressor ACT-to-ACT spacing.
+harness::RowHammerConfig hammer_config_at(const SweepConfig& sweep,
+                                          const AxisPoint& point) {
+  harness::RowHammerConfig config = sweep.hammer;
+  if (point.hammer_count != 0) config.ber_hc = point.hammer_count;
+  if (point.act_to_act_ns > 0.0) config.act_to_act_ns = point.act_to_act_ns;
+  return config;
+}
 
 struct HammerTraits {
   using RowResult = harness::RowHammerRowResult;
-  using Cell = HammerCell;
   using Grid = HammerGrid;
   static constexpr JobPhase kPhase = JobPhase::kRowHammer;
   static std::vector<RowResult>& rows(ManifestShard& s) { return s.hammer; }
@@ -199,30 +342,31 @@ struct HammerTraits {
                      const AxisPoint& point, const RowResult& row) {
     store.store_hammer(profile, point, row);
   }
-  static common::Expected<Cell> run(softmc::Session& session,
-                                    const SweepConfig& sweep,
-                                    const CampaignAxes& axes,
-                                    std::uint64_t seed, const AxisPoint& point,
-                                    std::span<const std::uint32_t> rows,
-                                    std::span<const dram::DataPattern> wcdp,
-                                    const common::CancelToken& cancel) {
-    if (point.pattern_hash != 0) {
-      const harness::PatternSpec* spec = axes.find_pattern(point.pattern_hash);
-      if (spec == nullptr) {
-        return common::Error{common::ErrorCode::kInvalidArgument,
-                             "campaign point references a pattern hash absent "
-                             "from the pattern axis"};
-      }
-      return run_pattern_rows(session, sweep, seed, point, *spec, rows, wcdp,
-                              cancel);
+  /// Alg. 1 at a uniform point; a pattern point attacks with its spec.
+  template <typename Run>
+  static common::Expected<ShardRows<RowResult>> with_test(
+      softmc::Session& session, const CampaignPlan& plan,
+      const AxisPoint& point, Run&& run) {
+    const harness::RowHammerConfig config = hammer_config_at(plan.sweep, point);
+    if (point.pattern_hash == 0) {
+      harness::RowHammerTest test(session, config);
+      return run(test, "hammer");
     }
-    return run_hammer_rows(session, sweep, seed, point, rows, wcdp, cancel);
+    const harness::PatternSpec* spec =
+        plan.axes.find_pattern(point.pattern_hash);
+    if (spec == nullptr) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "campaign point references a pattern hash absent "
+                   "from the pattern axis"};
+    }
+    PatternRowTest test(session, *spec, config.ber_hc);
+    return run(test, "pattern");
   }
 };
 
+/// tRCD varies over VPP x temperature and ignores the hammer axes.
 struct TrcdTraits {
   using RowResult = harness::TrcdRowResult;
-  using Cell = TrcdCell;
   using Grid = TrcdGrid;
   static constexpr JobPhase kPhase = JobPhase::kTrcd;
   static std::vector<RowResult>& rows(ManifestShard& s) { return s.trcd; }
@@ -238,20 +382,18 @@ struct TrcdTraits {
                      const AxisPoint& point, const RowResult& row) {
     store.store_trcd(profile, point, row);
   }
-  static common::Expected<Cell> run(softmc::Session& session,
-                                    const SweepConfig& sweep,
-                                    const CampaignAxes&, std::uint64_t seed,
-                                    const AxisPoint& point,
-                                    std::span<const std::uint32_t> rows,
-                                    std::span<const dram::DataPattern>,
-                                    const common::CancelToken& cancel) {
-    return run_trcd_rows(session, sweep, seed, point, rows, cancel);
+  template <typename Run>
+  static common::Expected<ShardRows<RowResult>> with_test(
+      softmc::Session& session, const CampaignPlan& plan, const AxisPoint&,
+      Run&& run) {
+    harness::TrcdTest test(session, plan.sweep.trcd);
+    return run(test, "trcd");
   }
 };
 
+/// Retention varies over VPP x temperature and ignores the hammer axes.
 struct RetentionTraits {
   using RowResult = harness::RetentionRowResult;
-  using Cell = RetentionCell;
   using Grid = RetentionGrid;
   static constexpr JobPhase kPhase = JobPhase::kRetention;
   static std::vector<RowResult>& rows(ManifestShard& s) { return s.retention; }
@@ -267,14 +409,12 @@ struct RetentionTraits {
                      const AxisPoint& point, const RowResult& row) {
     store.store_retention(profile, point, row);
   }
-  static common::Expected<Cell> run(softmc::Session& session,
-                                    const SweepConfig& sweep,
-                                    const CampaignAxes&, std::uint64_t seed,
-                                    const AxisPoint& point,
-                                    std::span<const std::uint32_t> rows,
-                                    std::span<const dram::DataPattern>,
-                                    const common::CancelToken& cancel) {
-    return run_retention_rows(session, sweep, seed, point, rows, cancel);
+  template <typename Run>
+  static common::Expected<ShardRows<RowResult>> with_test(
+      softmc::Session& session, const CampaignPlan& plan, const AxisPoint&,
+      Run&& run) {
+    harness::RetentionTest test(session, plan.sweep.retention);
+    return run(test, "retention");
   }
 };
 
@@ -319,7 +459,9 @@ auto run_job(SessionArena& arena, const dram::ModuleProfile& profile,
     session.set_fault_injector(nullptr);
     job->attempts = attempt + 1;
     job->injections += injector.counts();
-    job->instrumentation.add_job(session.counters());
+    // A shard that resets the rig per row sums its counts itself; the
+    // session's counters then hold only its last row.
+    job->instrumentation.add_job(result ? result->counts : session.counters());
     if (attempt > 0) ++job->instrumentation.retries;
     if (result) return result;
     if (faults->retry.should_retry(result.error().code, attempt + 1)) continue;
@@ -404,7 +546,7 @@ struct UnitState {
   std::vector<typename Traits::RowResult> rows;  ///< full shard, merged
   std::vector<std::uint32_t> missing;       ///< row addresses to compute
   std::vector<std::size_t> missing_index;   ///< their indices within the shard
-  std::future<common::Expected<typename Traits::Cell>> future;
+  std::future<common::Expected<ShardRows<typename Traits::RowResult>>> future;
 };
 
 /// The engine's unit pipeline over a list of units in canonical order --
@@ -619,15 +761,19 @@ common::Status UnitPipeline<Traits>::run(
            shard.end});
     }
     unit.future = pool.submit(
-        [&arenas, &pool, &profile, &sweep, &axes = plan.axes, seed, point,
+        [&arenas, &pool, &profile, &plan = plan, seed, point,
          cancel = plan.cancel, faults = faults, job, missing = unit.missing,
          wcdp = std::move(missing_wcdp)] {
-          return run_job(arenas.local(pool), profile, faults, job,
-                         [&](softmc::Session& session) {
-                           return Traits::run(session, sweep, axes, seed, point,
-                                              std::span(missing),
-                                              std::span(wcdp), cancel);
-                         });
+          return run_job(
+              arenas.local(pool), profile, faults, job,
+              [&](softmc::Session& session) {
+                return Traits::with_test(
+                    session, plan, point, [&](auto& test, const char* what) {
+                      return run_shard_rows<Traits>(
+                          session, test, what, seed, point,
+                          plan.sweep.sampling.bank, missing, wcdp, cancel);
+                    });
+              });
         });
   }
 

@@ -6,9 +6,11 @@
 // dram/module.hpp). core::CampaignEngine (core/campaign.hpp) cuts those cells
 // into row-range *shards* -- CampaignPlan::rows_per_shard rows per job --
 // runs them on a work-stealing pool (common/thread_pool), and reassembles the
-// per-module results in a fixed order. The functions below compute one shard
-// on a caller-provided session; the engine, the vppd service and distributed
-// workers all compose campaigns from them.
+// per-module results in a fixed order. Every shard of Algs. 1-3 runs through
+// the engine's one per-row loop (core/campaign_engine.cpp); this header holds
+// what that loop, the WCDP prep pass, the vppd service and the distributed
+// workers share: the stream-seed derivations, the row sampler, the session
+// setup every shard starts from, and the prep pass itself.
 //
 // Determinism: every sampled row derives a private noise stream from
 //   hash_key({seed, module seed, VPP in millivolts, phase tag, row})
@@ -22,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "common/cancel.hpp"
 #include "common/expected.hpp"
 #include "core/axis.hpp"
 #include "core/study.hpp"
@@ -57,13 +58,17 @@ namespace vppstudy::core {
                                             std::uint32_t row) noexcept;
 
 // --- Shard-level building blocks ---------------------------------------------
-// CampaignEngine and the vppd characterization service both compose
-// campaigns from these: one function call computes one row-range slice of a
-// (module, VPP level) grid cell on a caller-provided session, with every
-// random quantity keyed per row (row_stream_seed). Because results are pure
-// functions of the row keys, a caller may regroup rows into any slices --
-// the vppd cache computes exactly the uncovered rows of a request and the
-// output is bit-identical to a full in-process sweep.
+// Because every random quantity is keyed per row (row_stream_seed), results
+// are pure functions of the row keys and a caller may regroup rows into any
+// slices -- the vppd cache computes exactly the uncovered rows of a request
+// and the output is bit-identical to a full in-process sweep.
+
+/// Bring a checked-out session to the state every characterization shard
+/// starts from: refresh disabled (which also neutralizes TRR, section 4.1),
+/// temperature settled, VPP programmed. Noise streams are keyed per row by
+/// the shard loop itself.
+[[nodiscard]] common::Status setup_shard_session(softmc::Session& session,
+                                                double temp_c, double vpp_v);
 
 /// Concrete row addresses a campaign samples on `profile`: a pure function
 /// of (profile, sampling) that needs no device, so servers and cache-key
@@ -82,61 +87,5 @@ struct WcdpPrep {
 [[nodiscard]] common::Expected<WcdpPrep> run_wcdp_prep(
     softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
     double nominal_vpp, std::span<const std::uint32_t> rows);
-
-/// One row-range slice of a (module, VPP level) RowHammer cell. `wcdp` is
-/// parallel to `rows`. Polls `cancel` before each row.
-struct HammerCell {
-  std::vector<harness::RowHammerRowResult> rows;
-  softmc::CommandCounts counts;
-};
-
-/// `point` is the cell's grid point (VPP x temperature x hammer count x
-/// on-time) and must be normalized (AxisPoint::normalized); a baseline point
-/// `AxisPoint{vpp_v}` is the paper's VPP-only cell.
-[[nodiscard]] common::Expected<HammerCell> run_hammer_rows(
-    softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
-    const AxisPoint& point, std::span<const std::uint32_t> rows,
-    std::span<const dram::DataPattern> wcdp,
-    const common::CancelToken& cancel = {});
-
-/// Non-uniform pattern form of the hammer shard: each sampled row is the
-/// victim of one harness::AttackKind::kFuzzed attack running `spec`, scored
-/// by post-TRR flips. Result shape reuses RowHammerRowResult so manifests,
-/// caches, and grids carry pattern cells unchanged: hc_first holds the
-/// post-TRR flip count across the pattern's victim set (the fuzzer's
-/// fitness), ber the corresponding bit error rate. `point.pattern_hash` must
-/// equal spec.spec_hash(). Because the pattern path issues REF (TRR acts),
-/// the session is fully reset per row -- results stay pure functions of the
-/// row keys and shard regrouping stays byte-identical.
-[[nodiscard]] common::Expected<HammerCell> run_pattern_rows(
-    softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
-    const AxisPoint& point, const harness::PatternSpec& spec,
-    std::span<const std::uint32_t> rows,
-    std::span<const dram::DataPattern> wcdp,
-    const common::CancelToken& cancel = {});
-
-/// One row-range slice of a (module, VPP level) tRCD cell (Alg. 2).
-struct TrcdCell {
-  std::vector<harness::TrcdRowResult> rows;
-  softmc::CommandCounts counts;
-};
-
-/// tRCD varies over VPP x temperature and ignores the hammer axes.
-[[nodiscard]] common::Expected<TrcdCell> run_trcd_rows(
-    softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
-    const AxisPoint& point, std::span<const std::uint32_t> rows,
-    const common::CancelToken& cancel = {});
-
-/// One row-range slice of a (module, VPP level) retention cell (Alg. 3).
-struct RetentionCell {
-  std::vector<harness::RetentionRowResult> rows;
-  softmc::CommandCounts counts;
-};
-
-/// Retention varies over VPP x temperature and ignores the hammer axes.
-[[nodiscard]] common::Expected<RetentionCell> run_retention_rows(
-    softmc::Session& session, const SweepConfig& sweep, std::uint64_t seed,
-    const AxisPoint& point, std::span<const std::uint32_t> rows,
-    const common::CancelToken& cancel = {});
 
 }  // namespace vppstudy::core

@@ -240,11 +240,9 @@ common::Result<Service::Outcome> Service::sweep(const SweepRequest& request,
   }
   const core::SweepConfig cfg = sweep_config_from_request(request);
   const std::uint64_t digest = ResultCache::config_digest(cfg, request.seed);
-  const core::JobPhase phase = request.test == "trcd"
-                                   ? core::JobPhase::kTrcd
-                                   : request.test == "retention"
-                                         ? core::JobPhase::kRetention
-                                         : core::JobPhase::kRowHammer;
+  core::JobPhase phase = core::JobPhase::kRowHammer;
+  // validate() admitted only the three shardable test names.
+  (void)core::campaign_phase_from_name(request.test, phase);
 
   core::CampaignPlan plan;
   plan.sweep = cfg;

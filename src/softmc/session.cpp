@@ -38,6 +38,10 @@ Session::Session(dram::ModuleProfile profile)
 void Session::reset_for_job() {
   set_fault_injector(nullptr);
   disable_trace();
+  reset_rig();
+}
+
+void Session::reset_rig() {
   checker_.reset();
   counters_.reset();
   // Rail and chamber are small value types; reconstructing them reproduces

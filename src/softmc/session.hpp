@@ -135,10 +135,15 @@ class Session {
   /// trace and fault injector detached, command clock at zero, auto-refresh
   /// off, and the device power-cycled (dram::Module::reset_device_state --
   /// which retains the per-row physics caches, the whole point of reuse).
-  /// A reused session is bit-identical to a fresh one; core/parallel_study
+  /// A reused session is bit-identical to a fresh one; the campaign engine
   /// keeps one Session per (worker, module) arena slot across shard jobs on
   /// the strength of this, and the tier-1 suite asserts the equivalence.
   void reset_for_job();
+  /// reset_for_job within one job: the same reset, but the fault injector
+  /// and trace ring stay attached. A shard that must clear device state
+  /// between rows (pattern attacks leave TRR state behind) stays under the
+  /// job's fault plan and keeps its trace.
+  void reset_rig();
 
  private:
   dram::Module module_;

@@ -1,8 +1,8 @@
 // CampaignEngine contract tests: a multi-module sharded campaign is
 // bit-identical to serial one-module runs of the same sweep, axis
-// points seed and normalize per the core/axis.hpp contract, and a campaign
+// points seed and normalize per the core/axis.hpp contract, a campaign
 // killed mid-shard resumes from its manifest to a byte-identical merged
-// result.
+// result, and the bytes of every per-row test path are pinned.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -12,6 +12,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -327,6 +329,68 @@ TEST(CampaignResume, SigkillMidShardResumesByteIdentical) {
   ASSERT_TRUE(resumed.has_value()) << resumed.error().to_string();
   EXPECT_EQ(grid_documents(*resumed), grid_documents(*expected));
   std::remove(path.c_str());
+}
+
+// --- Pinned bytes of every row path ------------------------------------------
+
+/// FNV-1a over `text`, folded into `h`.
+std::uint64_t fnv1a(std::uint64_t h, const std::string& text) {
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Run one phase of `plan` with a manifest checkpoint and fold the compacted
+/// manifest (per-shard rows and full-precision session counts), then every
+/// module's grid JSON and CSV, into one hash.
+template <typename Run>
+std::uint64_t phase_digest(CampaignPlan plan, const char* tag, Run run) {
+  const std::string path = temp_manifest_path(tag);
+  std::remove(path.c_str());
+  plan.manifest_path = path;
+  CampaignEngine engine(std::move(plan));
+  auto grids = run(engine);
+  EXPECT_TRUE(grids.has_value()) << tag << ": " << grids.error().to_string();
+  if (!grids.has_value()) return 0;
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream manifest;
+  manifest << in.rdbuf();
+  std::uint64_t h = fnv1a(0xcbf29ce484222325ULL, manifest.str());
+  for (const auto& grid : *grids) {
+    h = fnv1a(h, grid_json(grid).str());
+    h = fnv1a(h, grid_csv(grid).str());
+  }
+  std::remove(path.c_str());
+  return h;
+}
+
+// The four per-row test paths -- uniform hammer, pattern hammer, tRCD and
+// retention -- run through the engine's one shard loop. These pins hold
+// each path's rows, per-shard session counts and grids to fixed bytes. A
+// deliberate change to a row result, a stream key or the session counts
+// must re-record them.
+TEST(CampaignRowPaths, EveryRowPathOutputIsPinned) {
+  const CampaignPlan plan = small_plan();
+  CampaignPlan pattern_plan = small_plan();
+  pattern_plan.axes.patterns = {harness::uniform_double_sided_spec()};
+
+  const std::uint64_t hammer = phase_digest(
+      plan, "pin_hammer", [](CampaignEngine& e) { return e.run_hammer(); });
+  const std::uint64_t pattern =
+      phase_digest(pattern_plan, "pin_pattern",
+                   [](CampaignEngine& e) { return e.run_hammer(); });
+  const std::uint64_t trcd = phase_digest(
+      plan, "pin_trcd", [](CampaignEngine& e) { return e.run_trcd(); });
+  const std::uint64_t retention =
+      phase_digest(plan, "pin_retention",
+                   [](CampaignEngine& e) { return e.run_retention(); });
+  EXPECT_EQ(hammer, 0xe3f3d91869eb6daaULL) << std::hex << "0x" << hammer;
+  EXPECT_EQ(pattern, 0x1b9c1980a3240010ULL) << std::hex << "0x" << pattern;
+  EXPECT_EQ(trcd, 0xbbb81282bc42cc78ULL) << std::hex << "0x" << trcd;
+  EXPECT_EQ(retention, 0x8c1249b37a9386b3ULL)
+      << std::hex << "0x" << retention;
 }
 
 }  // namespace

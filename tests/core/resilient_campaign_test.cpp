@@ -3,8 +3,8 @@
 // decisions under a seeded fault plan, per-module fault schedules, identity
 // across jobs counts and with the fault-free engine, exclusion of
 // quarantined modules from cross-module statistics, replayability of the
-// quarantine evidence, and the partial-result CSV/JSON markers downstream
-// consumers rely on.
+// quarantine evidence, fault coverage of pattern-axis rows, and the
+// partial-result CSV/JSON markers downstream consumers rely on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include "common/error.hpp"
 #include "core/export.hpp"
 #include "core/campaign.hpp"
+#include "harness/pattern_spec.hpp"
 #include "softmc/trace_dump.hpp"
 #include "softmc/trace_replayer.hpp"
 #include "stats/descriptive.hpp"
@@ -317,6 +318,38 @@ TEST(ResilientStudy, CleanCampaignMatchesEngine) {
       EXPECT_EQ(got.rows[i].ber, expected.rows[i].ber);
     }
   }
+}
+
+TEST(ResilientStudy, PatternAxisRowsRunUnderTheFaultPlan) {
+  // A pattern attack resets the rig between victim rows so TRR state cannot
+  // leak from one victim to the next. That reset keeps the job's injector
+  // attached: pattern rows face the fault plan like uniform rows do.
+  CampaignPlan plan;
+  plan.sweep = SweepConfig::quick();
+  plan.sweep.vpp_levels = {2.5};
+  plan.sweep.sampling.chunks = 2;
+  plan.sweep.sampling.rows_per_chunk = 2;
+  plan.sweep.determine_wcdp = false;
+  plan.axes.patterns = {harness::uniform_double_sided_spec()};
+  plan.modules = {small_profile()};
+  plan.seed = 1;
+  harness::RetryPolicy retry;
+  retry.max_attempts = 2;
+  const softmc::FaultPlan faults =
+      softmc::FaultPlan::parse("seed=95;flip_read=0.01,bits=2").value();
+  const CampaignResult campaign =
+      CampaignEngine(std::move(plan)).run_resilient(faults, retry, 512);
+  ASSERT_EQ(campaign.modules.size(), 1u);
+  const ModuleCampaignResult& m = campaign.modules[0];
+  ASSERT_TRUE(m.completed);
+  EXPECT_GT(m.injections.corrupted_reads, 0u);
+
+  // Corrupted reads fail no job, so nothing retried, and the job tallies
+  // cover every row of a shard, not just its last: the campaign's
+  // instrumentation is its grid's.
+  EXPECT_EQ(campaign.instrumentation.retries, 0u);
+  EXPECT_EQ(campaign.instrumentation.jobs, m.sweep.instrumentation.jobs);
+  EXPECT_EQ(campaign.instrumentation.counts, m.sweep.instrumentation.counts);
 }
 
 TEST(ResilientStudy, CvExcludesQuarantinedModules) {

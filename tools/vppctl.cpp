@@ -76,9 +76,10 @@
 //       the manifest (a distributed campaign) it also prints shard lease
 //       state and per-worker leased/completed/expired counts. Exit 0 on
 //       success (a completed campaign; for `status`, a readable manifest),
-//       2 on usage errors, 3 on typed errors -- including the deliberate
-//       kCancelled of an exhausted --max-shards budget, which leaves a
-//       resumable manifest behind.
+//       2 on usage errors, 3 on typed errors -- including a plan out of
+//       range (refused with the daemon's text, like `sweep`) and the
+//       deliberate kCancelled of an exhausted --max-shards budget, which
+//       leaves a resumable manifest behind.
 //       `distribute` runs the same plan across N workers (DESIGN.md section
 //       11): it compiles the canonical shard grid, opens a coordinator on a
 //       loopback daemon, and leases disjoint shard subsets to workers with
@@ -694,71 +695,45 @@ int run_campaign(core::CampaignPlan plan, core::JobPhase phase,
                  const std::string& csv_path, const std::string& json_path) {
   const std::string manifest = plan.manifest_path;
   core::CampaignEngine engine(std::move(plan));
-  int rc = 3;
-  common::Error error{common::ErrorCode::kUnknown, ""};
-  switch (phase) {
-    case core::JobPhase::kTrcd: {
-      auto grids = engine.run_trcd();
-      if (grids) {
-        rc = render_campaign_grids(phase, *grids, csv_path, json_path);
-      } else {
-        error = std::move(grids).error();
-      }
-      break;
-    }
-    case core::JobPhase::kRetention: {
-      auto grids = engine.run_retention();
-      if (grids) {
-        rc = render_campaign_grids(phase, *grids, csv_path, json_path);
-      } else {
-        error = std::move(grids).error();
-      }
-      break;
-    }
-    default: {
-      auto grids = engine.run_hammer();
-      if (grids) {
-        rc = render_campaign_grids(phase, *grids, csv_path, json_path);
-      } else {
-        error = std::move(grids).error();
-      }
-      break;
-    }
-  }
-  if (rc == 3 && !error.message.empty()) {
-    std::fprintf(stderr, "%s\n", error.to_string().c_str());
+  const auto render = [&](auto grids) {
+    if (grids) return render_campaign_grids(phase, *grids, csv_path, json_path);
+    std::fprintf(stderr, "%s\n", grids.error().to_string().c_str());
     if (!manifest.empty()) {
       std::fprintf(stderr,
                    "completed shards are checkpointed; continue with: vppctl "
                    "campaign resume --manifest %s\n",
                    manifest.c_str());
     }
+    return 3;
+  };
+  switch (phase) {
+    case core::JobPhase::kTrcd:
+      return render(engine.run_trcd());
+    case core::JobPhase::kRetention:
+      return render(engine.run_retention());
+    default:
+      return render(engine.run_hammer());
   }
-  return rc;
 }
 
-/// Shared flag -> plan compiler of `campaign run` and `campaign
-/// distribute`. Returns 0 and fills plan/phase, or a nonzero exit code
+/// Shared flag -> plan compiler of `campaign run`, `campaign distribute`
+/// and `fuzz run`. Returns 0 and fills plan/phase, or a nonzero exit code
 /// (message already printed).
 int campaign_plan_from_flags(const std::map<std::string, std::string>& flags,
                              core::CampaignPlan& plan,
                              core::JobPhase& phase) {
-  // The sweep config comes through the daemon's request expander so a
-  // campaign's VPP grid is millivolt-quantized exactly like `vppctl sweep`
-  // (and the stream seeds therefore agree across all front ends).
-  const server::SweepRequest request = sweep_request_from_flags(flags);
-  phase = request.test == "trcd"
-              ? core::JobPhase::kTrcd
-              : request.test == "retention" ? core::JobPhase::kRetention
-                                            : core::JobPhase::kRowHammer;
-  if (request.test != "rowhammer" && request.test != "trcd" &&
-      request.test != "retention") {
-    std::fprintf(stderr, "unknown --test '%s'\n", request.test.c_str());
-    return 2;
-  }
+  // The request goes through the daemon's validate() and config expander:
+  // a campaign refuses what `vppctl sweep` refuses, with the same text, and
+  // its VPP grid is millivolt-quantized exactly like a sweep's (so the
+  // stream seeds agree across all front ends).
+  server::SweepRequest request = sweep_request_from_flags(flags);
+  request.temps = parse_double_list(flag_or(flags, "temps", ""));
+  if (auto st = server::validate(request); !st.ok()) return fail(st.error());
+  // validate() admitted only the three shardable test names.
+  (void)core::campaign_phase_from_name(request.test, phase);
 
   plan.sweep = server::sweep_config_from_request(request);
-  plan.axes.temperatures_c = parse_double_list(flag_or(flags, "temps", ""));
+  plan.axes.temperatures_c = request.temps;
   plan.axes.hammer_counts = parse_uint_list(flag_or(flags, "hammer-counts", ""));
   plan.axes.act_to_act_ns = parse_double_list(flag_or(flags, "on-times", ""));
   plan.seed = request.seed;
