@@ -42,6 +42,12 @@ common::Result<JsonValue> Client::wait_for(std::uint64_t id) {
   }
 }
 
+common::Result<JsonValue> Client::wait_result(std::uint64_t id) {
+  auto response = wait_for(id);
+  if (!response) return std::move(response).error();
+  return response_result(*response);
+}
+
 common::Result<JsonValue> Client::call(std::uint64_t id,
                                        std::string_view payload) {
   if (auto st = send(payload); !st.ok()) return std::move(st).error();
@@ -50,9 +56,8 @@ common::Result<JsonValue> Client::call(std::uint64_t id,
 
 common::Result<JsonValue> Client::call_result(std::uint64_t id,
                                               std::string_view payload) {
-  auto response = call(id, payload);
-  if (!response) return std::move(response).error();
-  return response_result(*response);
+  if (auto st = send(payload); !st.ok()) return std::move(st).error();
+  return wait_result(id);
 }
 
 common::Result<Client::SweepResponse> Client::sweep(

@@ -1,8 +1,9 @@
-// Synchronous client of the vppd daemon, used by vppctl's --connect mode
-// and the integration tests. One Client is one connection; calls are
-// sequential (send a request, read frames until the matching id arrives --
-// pipelined responses for other ids are queued and returned in order by
-// later calls).
+// Client of the vppd daemon, used by vppctl's --connect mode, the campaign
+// worker and the integration tests. One Client is one connection. The typed
+// verbs are sequential (send a request, read frames until the matching id
+// arrives); send() + wait_result() pipeline several requests on the
+// connection, and responses for other ids are queued and returned by later
+// waits.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,10 @@ class Client {
   /// Read response frames until the one answering `id` arrives; responses
   /// to other (pipelined) ids are buffered for later wait_for() calls.
   [[nodiscard]] common::Result<common::JsonValue> wait_for(std::uint64_t id);
+
+  /// wait_for unwrapped to the response's "result": the server's typed
+  /// error becomes this call's error.
+  [[nodiscard]] common::Result<common::JsonValue> wait_result(std::uint64_t id);
 
   /// send + wait_for in one step. `payload` must carry `id`.
   [[nodiscard]] common::Result<common::JsonValue> call(std::uint64_t id,

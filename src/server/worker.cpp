@@ -1,5 +1,6 @@
 #include "server/worker.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <thread>
@@ -15,6 +16,7 @@ namespace vppstudy::server {
 
 using common::Error;
 using common::ErrorCode;
+using common::JsonValue;
 
 namespace {
 
@@ -76,14 +78,50 @@ common::Result<CampaignWorker::Summary> CampaignWorker::run(
   core::JobPhase phase = core::JobPhase::kRowHammer;
   std::uint64_t plan_hash = 0;
 
-  for (;;) {
+  // Each send returns the request id its reply is awaited by. The daemon
+  // answers one connection's campaign frames in order, so the replies of a
+  // pipelined heartbeat, lease and submit come back in the order sent.
+  const auto send_lease = [&]() -> common::Result<std::uint64_t> {
     LeaseRequest request;
     request.plan_hash = plan_hash;
     request.worker = options.worker_id;
     request.max_shards = options.lease_shards;
     request.ttl_ms = options.ttl_ms;
     request.need_plan = !have_plan;
-    VPP_ASSIGN_OR_RETURN(LeaseGrant grant, client.lease(request));
+    const std::uint64_t id = client.next_id();
+    VPP_RETURN_IF_ERROR(client.send(encode_lease_request(id, request)));
+    return id;
+  };
+  // Reads a submit reply into the summary; returns whether the campaign
+  // is complete.
+  const auto collect_submit = [&](std::uint64_t id) -> common::Result<bool> {
+    auto result = client.wait_result(id);
+    if (!result) {
+      if (result.error().code == ErrorCode::kLeaseExpired) {
+        // Our lease expired mid-compute and the shards were re-granted; the
+        // other worker's bytes are identical by determinism, so dropping
+        // this batch loses nothing.
+        ++summary.dropped;
+        return false;
+      }
+      return std::move(result).error();
+    }
+    VPP_ASSIGN_OR_RETURN(const SubmitOutcome outcome,
+                         parse_submit_result(*result));
+    ++summary.leases;
+    summary.shards += outcome.accepted;
+    summary.duplicates += outcome.duplicates;
+    return outcome.complete;
+  };
+
+  // At most one prefetched lease and one unanswered submit are in flight.
+  VPP_ASSIGN_OR_RETURN(std::uint64_t lease_id, send_lease());
+  std::uint64_t submit_id = 0;  // 0: no submit awaits its reply
+  int backoff_ms = std::min(1, options.poll_ms);
+  for (;;) {
+    VPP_ASSIGN_OR_RETURN(const JsonValue lease_result,
+                         client.wait_result(lease_id));
+    VPP_ASSIGN_OR_RETURN(LeaseGrant grant, parse_lease_result(lease_result));
 
     if (!have_plan) {
       if (!grant.has_campaign) {
@@ -108,29 +146,53 @@ common::Result<CampaignWorker::Summary> CampaignWorker::run(
     memo.seed(plan, grant.wcdp);
 
     if (grant.shards.empty()) {
-      if (grant.complete) break;
-      // Everything is leased out to other workers right now; poll.
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.poll_ms));
+      // The grant was answered before our last submit was merged, so that
+      // submit's reply may be the one that completes the campaign.
+      bool complete = grant.complete;
+      if (submit_id != 0) {
+        VPP_ASSIGN_OR_RETURN(const bool done, collect_submit(submit_id));
+        submit_id = 0;
+        complete = complete || done;
+      }
+      if (complete) break;
+      // Everything is leased out to other workers right now. Their last
+      // batch is usually about to land, so poll soon and back off.
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+      backoff_ms = std::min(backoff_ms * 2, options.poll_ms);
+      VPP_ASSIGN_OR_RETURN(lease_id, send_lease());
       continue;
     }
+    backoff_ms = std::min(1, options.poll_ms);
 
-    // Renew once before computing: exercises the heartbeat path and skips
-    // the compute when the lease is somehow already gone.
+    // Renew as compute starts, so the batch starts on a fresh TTL, and ask
+    // for the next lease; neither reply is awaited before the compute.
     HeartbeatRequest hb;
     hb.plan_hash = plan_hash;
     hb.token = grant.token;
     hb.ttl_ms = options.ttl_ms;
-    if (auto renewed = client.heartbeat(hb); !renewed) {
+    const std::uint64_t hb_id = client.next_id();
+    VPP_RETURN_IF_ERROR(client.send(encode_heartbeat_request(hb_id, hb)));
+    VPP_ASSIGN_OR_RETURN(lease_id, send_lease());
+
+    VPP_ASSIGN_OR_RETURN(
+        core::CampaignShardBatch batch,
+        core::run_campaign_shards(plan, phase, grant.shards, &memo));
+
+    // The previous batch's submit was sent before this heartbeat, so its
+    // reply comes first. Completion is decided by the prefetched grant.
+    if (submit_id != 0) {
+      VPP_RETURN_IF_ERROR(collect_submit(submit_id));
+      submit_id = 0;
+    }
+    if (auto renewed = client.wait_result(hb_id); !renewed) {
+      // The lease was already gone when compute started: its shards went
+      // to another worker, so this batch is dropped unsubmitted.
       if (renewed.error().code == ErrorCode::kLeaseExpired) {
         ++summary.dropped;
         continue;
       }
       return std::move(renewed).error();
     }
-
-    VPP_ASSIGN_OR_RETURN(
-        core::CampaignShardBatch batch,
-        core::run_campaign_shards(plan, phase, grant.shards, &memo));
 
     SubmitRequest submit;
     submit.plan_hash = plan_hash;
@@ -139,21 +201,8 @@ common::Result<CampaignWorker::Summary> CampaignWorker::run(
     submit.token = grant.token;
     submit.wcdp = std::move(batch.wcdp);
     submit.shards = std::move(batch.shards);
-    auto outcome = client.submit(submit);
-    if (!outcome) {
-      if (outcome.error().code == ErrorCode::kLeaseExpired) {
-        // Our lease expired mid-compute and the shards were re-granted; the
-        // other worker's bytes are identical by determinism, so dropping
-        // this batch loses nothing.
-        ++summary.dropped;
-        continue;
-      }
-      return std::move(outcome).error();
-    }
-    ++summary.leases;
-    summary.shards += outcome->accepted;
-    summary.duplicates += outcome->duplicates;
-    if (outcome->complete) break;
+    submit_id = client.next_id();
+    VPP_RETURN_IF_ERROR(client.send(encode_submit_request(submit_id, submit)));
   }
   return summary;
 }

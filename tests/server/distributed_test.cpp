@@ -1,7 +1,8 @@
 // Distributed-campaign suites: coordinator fencing and crash-restart
 // reconciliation (explicit now_ms, no sleeping), the lease/submit/heartbeat
-// verbs over a real loopback daemon, two-worker byte-identity against the
-// single-host engine, and the result cache's LRU bound.
+// verbs over a real loopback daemon (awaited one by one and pipelined on
+// one connection), two-worker byte-identity against the single-host engine,
+// and the result cache's LRU bound.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -24,6 +25,7 @@
 #include "server/result_cache.hpp"
 #include "server/server.hpp"
 #include "server/worker.hpp"
+#include "server_test_util.hpp"
 
 namespace vppstudy::server {
 namespace {
@@ -388,52 +390,60 @@ TEST(ServerDistributed, LeaseVerbsDriveACampaignToCompletion) {
   (*server)->stop();
 }
 
-TEST(ServerDistributed, TwoWorkersMergeByteIdenticalToSingleHost) {
-  const std::string path = temp_manifest("two_workers");
-  remove_campaign_files(path);
+/// A loopback daemon serving a fresh manifest-backed coordinator of `plan`.
+struct CampaignDaemon {
+  std::shared_ptr<CampaignCoordinator> coordinator;
+  std::unique_ptr<Server> server;
+};
 
+CampaignDaemon start_campaign_daemon(const core::CampaignPlan& plan,
+                                     const std::string& manifest_path) {
+  CampaignDaemon daemon;
   auto coordinator =
-      CampaignCoordinator::open(small_plan(), JobPhase::kRowHammer, path);
-  ASSERT_TRUE(coordinator.has_value()) << coordinator.error().to_string();
+      CampaignCoordinator::open(plan, JobPhase::kRowHammer, manifest_path);
+  EXPECT_TRUE(coordinator.has_value())
+      << (coordinator ? "" : coordinator.error().to_string());
   auto server = Server::start({});
-  ASSERT_TRUE(server.has_value()) << server.error().to_string();
-  std::shared_ptr<CampaignCoordinator> shared = *std::move(coordinator);
-  (*server)->service().adopt_campaign(shared);
+  EXPECT_TRUE(server.has_value())
+      << (server ? "" : server.error().to_string());
+  if (!coordinator || !server) return daemon;
+  daemon.coordinator = *std::move(coordinator);
+  daemon.server = *std::move(server);
+  daemon.server->service().adopt_campaign(daemon.coordinator);
+  return daemon;
+}
 
-  // Two real workers over loopback, small leases so both get work.
-  std::vector<common::Result<CampaignWorker::Summary>> summaries;
-  summaries.resize(2, CampaignWorker::Summary{});
+/// Run `workers` CampaignWorkers against `port` to completion.
+std::vector<common::Result<CampaignWorker::Summary>> run_workers(
+    std::uint16_t port, int workers, std::uint64_t lease_shards) {
+  std::vector<common::Result<CampaignWorker::Summary>> summaries(
+      static_cast<std::size_t>(workers), CampaignWorker::Summary{});
   std::vector<std::thread> threads;
-  for (int w = 0; w < 2; ++w) {
+  for (int w = 0; w < workers; ++w) {
     threads.emplace_back([&, w] {
       CampaignWorker::Options options;
-      options.port = (*server)->port();
+      options.port = port;
       options.worker_id = "w" + std::to_string(w + 1);
-      options.lease_shards = 2;
+      options.lease_shards = lease_shards;
       options.ttl_ms = 30000;
-      summaries[w] = CampaignWorker::run(options);
+      summaries[static_cast<std::size_t>(w)] = CampaignWorker::run(options);
     });
   }
   for (std::thread& t : threads) t.join();
-  (*server)->stop();
+  return summaries;
+}
 
-  std::uint64_t accepted = 0;
-  for (const auto& summary : summaries) {
-    ASSERT_TRUE(summary.has_value()) << summary.error().to_string();
-    accepted += summary->shards;
-  }
-  EXPECT_EQ(accepted, shared->status().planned);
-  EXPECT_TRUE(shared->complete());
-
-  // The merged manifest resumes to grids byte-identical to a single-host
-  // run of the same plan.
-  core::CampaignPlan resume_plan = small_plan();
-  resume_plan.manifest_path = path;
+/// The merged manifest at `manifest_path` resumes to grids byte-identical
+/// to a single-host run of the same plan.
+void expect_merge_matches_single_host(const core::CampaignPlan& plan,
+                                      const std::string& manifest_path) {
+  core::CampaignPlan resume_plan = plan;
+  resume_plan.manifest_path = manifest_path;
   core::CampaignEngine resumed(std::move(resume_plan));
   auto merged_grids = resumed.run_hammer();
   ASSERT_TRUE(merged_grids.has_value()) << merged_grids.error().to_string();
 
-  core::CampaignEngine single(small_plan());
+  core::CampaignEngine single(plan);
   auto single_grids = single.run_hammer();
   ASSERT_TRUE(single_grids.has_value());
   ASSERT_EQ(merged_grids->size(), single_grids->size());
@@ -441,7 +451,150 @@ TEST(ServerDistributed, TwoWorkersMergeByteIdenticalToSingleHost) {
     EXPECT_EQ(core::grid_json((*merged_grids)[m]).str(),
               core::grid_json((*single_grids)[m]).str());
   }
-  remove_campaign_files(path);
+}
+
+/// The persisted lease state of a campaign: tokens, holders and per-worker
+/// accounting. Deadlines are left out, since they follow the wall clock.
+std::string ledger_state(const std::string& manifest_path) {
+  auto ledger =
+      core::load_campaign_ledger(core::campaign_ledger_path(manifest_path));
+  EXPECT_TRUE(ledger.has_value()) << (ledger ? "" : ledger.error().to_string());
+  if (!ledger) return {};
+  std::string out = "next_token " + std::to_string(ledger->next_token) + "\n";
+  for (const core::LeaseEntry& entry : ledger->entries) {
+    out += std::string(core::lease_state_name(entry.state)) + " " +
+           entry.worker + " " + std::to_string(entry.token) + "\n";
+  }
+  for (const core::LeaseWorkerStats& w : ledger->workers) {
+    out += w.worker + " leased " + std::to_string(w.leased) + " completed " +
+           std::to_string(w.completed) + " expired " +
+           std::to_string(w.expired) + "\n";
+  }
+  return out;
+}
+
+TEST(ServerDistributed, PipelinedFramesAnswerInOrderLikeSerialCalls) {
+  const core::CampaignPlan plan = small_plan();
+  const std::string serial_path = temp_manifest("serial_verbs");
+  const std::string pipelined_path = temp_manifest("pipelined_verbs");
+  remove_campaign_files(serial_path);
+  remove_campaign_files(pipelined_path);
+  CampaignDaemon serial = start_campaign_daemon(plan, serial_path);
+  CampaignDaemon pipelined = start_campaign_daemon(plan, pipelined_path);
+  ASSERT_TRUE(serial.server && pipelined.server);
+  const std::uint64_t plan_hash = serial.coordinator->plan_hash();
+
+  // Serial: a worker's verbs in its pipelined order (lease, heartbeat,
+  // prefetch lease, submit), each awaited before the next is sent.
+  LeaseRequest lease;
+  lease.plan_hash = plan_hash;
+  lease.worker = "pipe";
+  lease.max_shards = 2;
+  auto client = Client::connect(serial.server->port());
+  ASSERT_TRUE(client.has_value()) << client.error().to_string();
+  auto first = client->lease(lease);
+  ASSERT_TRUE(first.has_value()) << first.error().to_string();
+  ASSERT_FALSE(first->shards.empty());
+  const HeartbeatRequest hb{plan_hash, first->token, 30000};
+  const core::CampaignShardBatch batch = compute_batch(plan, first->shards);
+  SubmitRequest submit;
+  submit.plan_hash = plan_hash;
+  submit.phase = JobPhase::kRowHammer;
+  submit.worker = "pipe";
+  submit.token = first->token;
+  submit.wcdp = batch.wcdp;
+  submit.shards = batch.shards;
+  auto renewed = client->heartbeat(hb);
+  ASSERT_TRUE(renewed.has_value()) << renewed.error().to_string();
+  auto next = client->lease(lease);
+  ASSERT_TRUE(next.has_value()) << next.error().to_string();
+  auto outcome = client->submit(submit);
+  ASSERT_TRUE(outcome.has_value()) << outcome.error().to_string();
+
+  // Pipelined: the same four frames back to back on one connection before
+  // any reply is read. The replies are read raw, in arrival order, because
+  // Client::wait_for would pair up replies that came back out of order.
+  // A fresh ledger grants the same first token, so the heartbeat and the
+  // submit can name it before its grant is read.
+  testing::RawConn conn = testing::RawConn::connect(pipelined.server->port());
+  conn.send_payload(encode_lease_request(1, lease));
+  conn.send_payload(encode_heartbeat_request(2, hb));
+  conn.send_payload(encode_lease_request(3, lease));
+  conn.send_payload(encode_submit_request(4, submit));
+  std::vector<common::JsonValue> results;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    auto response = conn.recv_response();
+    ASSERT_TRUE(response.has_value()) << response.error().to_string();
+    EXPECT_EQ(response->uint_or("id", 0), id);
+    auto result = response_result(*response);
+    ASSERT_TRUE(result.has_value()) << result.error().to_string();
+    results.push_back(*std::move(result));
+  }
+  auto piped_first = parse_lease_result(results[0]);
+  ASSERT_TRUE(piped_first.has_value());
+  EXPECT_EQ(piped_first->token, first->token);
+  EXPECT_EQ(piped_first->shards, first->shards);
+  EXPECT_EQ(results[1].uint_or("renewed", 0), *renewed);
+  auto piped_next = parse_lease_result(results[2]);
+  ASSERT_TRUE(piped_next.has_value());
+  EXPECT_EQ(piped_next->token, next->token);
+  EXPECT_EQ(piped_next->shards, next->shards);
+  auto piped_outcome = parse_submit_result(results[3]);
+  ASSERT_TRUE(piped_outcome.has_value());
+  EXPECT_EQ(piped_outcome->accepted, outcome->accepted);
+  EXPECT_EQ(piped_outcome->duplicates, outcome->duplicates);
+  EXPECT_EQ(piped_outcome->done, outcome->done);
+  EXPECT_EQ(piped_outcome->remaining, outcome->remaining);
+
+  serial.server->stop();
+  pipelined.server->stop();
+  EXPECT_EQ(ledger_state(pipelined_path), ledger_state(serial_path));
+  remove_campaign_files(serial_path);
+  remove_campaign_files(pipelined_path);
+}
+
+TEST(ServerDistributed, TwoWorkersMergeByteIdenticalToSingleHost) {
+  // Small leases so both workers get work. One shard per lease makes every
+  // batch a round trip, so the pipelined loop always has a prefetched grant
+  // and an unanswered submit in flight.
+  core::CampaignPlan two_modules = small_plan();
+  two_modules.modules.push_back(chips::profile_by_name("C9").value());
+  const struct {
+    core::CampaignPlan plan;
+    std::uint64_t lease_shards;
+  } cases[] = {{small_plan(), 2}, {two_modules, 1}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE("lease_shards " + std::to_string(c.lease_shards));
+    const std::string path = temp_manifest("two_workers");
+    remove_campaign_files(path);
+    CampaignDaemon daemon = start_campaign_daemon(c.plan, path);
+    ASSERT_TRUE(daemon.server);
+
+    const auto summaries =
+        run_workers(daemon.server->port(), 2, c.lease_shards);
+    daemon.server->stop();
+
+    std::uint64_t accepted = 0;
+    for (const auto& summary : summaries) {
+      ASSERT_TRUE(summary.has_value()) << summary.error().to_string();
+      EXPECT_EQ(summary->dropped, 0u);
+      EXPECT_EQ(summary->duplicates, 0u);
+      accepted += summary->shards;
+    }
+    EXPECT_EQ(accepted, daemon.coordinator->status().planned);
+    EXPECT_TRUE(daemon.coordinator->complete());
+
+    // Every granted shard was submitted: no lease expired or went unused.
+    auto ledger = core::load_campaign_ledger(core::campaign_ledger_path(path));
+    ASSERT_TRUE(ledger.has_value()) << ledger.error().to_string();
+    ASSERT_FALSE(ledger->workers.empty());
+    for (const core::LeaseWorkerStats& w : ledger->workers) {
+      EXPECT_EQ(w.leased, w.completed) << w.worker;
+      EXPECT_EQ(w.expired, 0u) << w.worker;
+    }
+    expect_merge_matches_single_host(c.plan, path);
+    remove_campaign_files(path);
+  }
 }
 
 // --- Result cache LRU bound --------------------------------------------------

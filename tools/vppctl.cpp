@@ -946,10 +946,14 @@ int cmd_campaign_status(const std::map<std::string, std::string>& flags) {
               std::string(core::campaign_phase_name(manifest->phase)).c_str(),
               static_cast<unsigned long long>(manifest->plan_hash),
               static_cast<unsigned long long>(manifest->seed));
-  std::printf("shards: %zu of %llu complete, wcdp preps: %zu of %zu\n",
-              manifest->shards.size(),
-              static_cast<unsigned long long>(manifest->planned_shards),
-              manifest->wcdp.size(), manifest->modules.size());
+  std::printf("shards: %zu of %llu complete", manifest->shards.size(),
+              static_cast<unsigned long long>(manifest->planned_shards));
+  // Only Alg. 1 has a WCDP prep phase; tRCD and retention have none.
+  if (manifest->phase == core::JobPhase::kRowHammer) {
+    std::printf(", wcdp preps: %zu of %zu", manifest->wcdp.size(),
+                manifest->modules.size());
+  }
+  std::printf("\n");
   for (const auto& [name, rows_per_bank] : manifest->modules) {
     std::size_t done = 0;
     for (const auto& shard : manifest->shards) {
