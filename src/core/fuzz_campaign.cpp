@@ -53,17 +53,6 @@ common::Expected<std::vector<PointKey>> plan_points(
   return keys;
 }
 
-/// Rank best-first by (score desc, spec_hash asc) -- the same total order
-/// evolve_population uses, so displayed rankings match selection pressure.
-void rank_members(std::vector<harness::ScoredSpec>& members) {
-  std::stable_sort(members.begin(), members.end(),
-                   [](const harness::ScoredSpec& a,
-                      const harness::ScoredSpec& b) {
-                     if (a.score != b.score) return a.score > b.score;
-                     return a.spec.spec_hash() < b.spec.spec_hash();
-                   });
-}
-
 void population_json(common::JsonWriter& json, const FuzzPopulation& pop) {
   json.begin_object();
   json.kv("module", pop.module);
@@ -252,6 +241,26 @@ common::Result<FuzzCampaignConfig> config_from_fuzz_manifest(
   return config;
 }
 
+double fuzz_fitness(const std::vector<HammerGrid>& grids,
+                    const std::string& module, std::uint64_t vpp_mv,
+                    std::uint64_t pattern_hash) {
+  double total = 0.0;
+  for (const HammerGrid& grid : grids) {
+    if (grid.module_name != module) continue;
+    for (std::size_t p = 0; p < grid.points.size(); ++p) {
+      const AxisPoint& point = grid.points[p];
+      if (point.pattern_hash != pattern_hash ||
+          vpp_millivolts(point.vpp_v) != vpp_mv) {
+        continue;
+      }
+      for (const harness::RowHammerRowResult& row : grid.cells[p]) {
+        total += static_cast<double>(row.hc_first);
+      }
+    }
+  }
+  return total;
+}
+
 common::Expected<FuzzCampaignResult> run_fuzz_campaign(
     const FuzzCampaignConfig& config) {
   if (config.generations == 0) {
@@ -377,28 +386,13 @@ common::Expected<FuzzCampaignResult> run_fuzz_campaign(
       continue;
     }
 
-    // Fitness: summed post-TRR flips (hc_first) of a spec's grid cells at
-    // the population's (module, VPP) point, across all temperatures.
     std::vector<FuzzPopulation> generation(keys.size());
     for (std::size_t k = 0; k < keys.size(); ++k) {
       scored[k].clear();
       for (const harness::PatternSpec& spec : pops[k]) {
-        const std::uint64_t hash = spec.spec_hash();
-        double total = 0.0;
-        for (const HammerGrid& grid : grids) {
-          if (grid.module_name != keys[k].module) continue;
-          for (std::size_t p = 0; p < grid.points.size(); ++p) {
-            const AxisPoint& point = grid.points[p];
-            if (point.pattern_hash != hash ||
-                vpp_millivolts(point.vpp_v) != keys[k].vpp_mv) {
-              continue;
-            }
-            for (const harness::RowHammerRowResult& row : grid.cells[p]) {
-              total += static_cast<double>(row.hc_first);
-            }
-          }
-        }
-        scored[k].push_back({spec, total});
+        scored[k].push_back({spec, fuzz_fitness(grids, keys[k].module,
+                                                keys[k].vpp_mv,
+                                                spec.spec_hash())});
       }
       generation[k].module = keys[k].module;
       generation[k].vpp_mv = keys[k].vpp_mv;
@@ -419,7 +413,8 @@ common::Expected<FuzzCampaignResult> run_fuzz_campaign(
     result.points[k].module = keys[k].module;
     result.points[k].vpp_mv = keys[k].vpp_mv;
     result.points[k].members = scored[k];
-    rank_members(result.points[k].members);
+    // evolve_population's order, so displayed rankings match selection.
+    std::ranges::stable_sort(result.points[k].members, harness::ranks_before);
   }
   result.grids = std::move(grids);
   return result;

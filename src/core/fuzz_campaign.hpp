@@ -116,6 +116,13 @@ struct FuzzCampaignResult {
   std::vector<HammerGrid> grids;
 };
 
+/// A pattern's fitness at a (module, VPP) point: its cells' summed post-TRR
+/// flips (hc_first) there, across all temperatures.
+[[nodiscard]] double fuzz_fitness(const std::vector<HammerGrid>& grids,
+                                  const std::string& module,
+                                  std::uint64_t vpp_mv,
+                                  std::uint64_t pattern_hash);
+
 /// Run (or resume) the whole campaign. Pure function of the config: same
 /// config -> bit-identical result, whether run in one go, killed and
 /// resumed, serial or parallel.

@@ -249,23 +249,22 @@ std::vector<PatternSpec> initial_population(std::uint64_t seed,
   return population;
 }
 
+bool ranks_before(const ScoredSpec& a, const ScoredSpec& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.spec.spec_hash() < b.spec.spec_hash();
+}
+
 std::vector<PatternSpec> evolve_population(std::span<const ScoredSpec> scored,
                                            std::uint64_t seed,
                                            std::uint32_t generation,
                                            const FuzzerConfig& config) {
   if (scored.empty()) return initial_population(seed, config);
 
-  // Canonical rank order: score descending, spec_hash ascending as the
-  // deterministic tie-break (scores are often identical at low VPP where
-  // nothing flips).
   std::vector<const ScoredSpec*> ranked;
   ranked.reserve(scored.size());
   for (const ScoredSpec& s : scored) ranked.push_back(&s);
   std::sort(ranked.begin(), ranked.end(),
-            [](const ScoredSpec* x, const ScoredSpec* y) {
-              if (x->score != y->score) return x->score > y->score;
-              return x->spec.spec_hash() < y->spec.spec_hash();
-            });
+            [](const auto* x, const auto* y) { return ranks_before(*x, *y); });
 
   std::vector<PatternSpec> next;
   std::unordered_set<std::uint64_t> hashes;

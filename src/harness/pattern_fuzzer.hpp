@@ -84,6 +84,10 @@ struct ScoredSpec {
   double score = 0.0;
 };
 
+/// The canonical rank order: score descending, then spec_hash ascending (a
+/// deterministic tie-break; at low VPP often nothing flips).
+[[nodiscard]] bool ranks_before(const ScoredSpec& a, const ScoredSpec& b);
+
 /// One evolution step: rank by (score, spec_hash) descending, keep the
 /// elites, refill with mutations and crossovers of rank-biased parents, and
 /// dedup by spec_hash (duplicates are replaced by fresh random specs so the

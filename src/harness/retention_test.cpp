@@ -8,6 +8,14 @@ namespace vppstudy::harness {
 
 using common::Error;
 
+std::vector<double> retention_windows(const RetentionConfig& config) {
+  std::vector<double> windows;
+  for (double t = config.min_trefw_ms; t <= config.max_trefw_ms; t *= 2.0) {
+    windows.push_back(t);
+  }
+  return windows;
+}
+
 RetentionTest::RetentionTest(softmc::Session& session, RetentionConfig config)
     : session_(session), config_(config) {}
 
@@ -31,15 +39,14 @@ common::Expected<RetentionRowResult> RetentionTest::test_row(
   RetentionRowResult result;
   result.row = row;
   result.wcdp = wcdp;
-  for (double trefw = config_.min_trefw_ms; trefw <= config_.max_trefw_ms;
-       trefw *= 2.0) {
+  result.trefw_ms = retention_windows(config_);
+  for (const double trefw : result.trefw_ms) {
     double worst = 0.0;
     for (int i = 0; i < config_.num_iterations; ++i) {
       VPP_ASSIGN_OR_RETURN(const double ber,
                            measure_ber(bank, row, wcdp, trefw));
       worst = std::max(worst, ber);
     }
-    result.trefw_ms.push_back(trefw);
     result.ber.push_back(worst);
   }
   return result;

@@ -19,6 +19,11 @@ struct RetentionConfig {
   int num_iterations = 1;  ///< the model's waits are deterministic in time
 };
 
+/// The tREFW windows Alg. 3 probes, doubling from min_trefw_ms to at most
+/// max_trefw_ms (also rebuilds a cached row's windows).
+[[nodiscard]] std::vector<double> retention_windows(
+    const RetentionConfig& config);
+
 struct RetentionRowResult {
   std::uint32_t row = 0;
   dram::DataPattern wcdp = dram::DataPattern::kCheckerAA;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <iterator>
 #include <string_view>
 #include <utility>
 
+#include "common/durable_file.hpp"
 #include "common/json.hpp"
 #include "server/protocol.hpp"
 
@@ -13,6 +15,207 @@ namespace vppstudy::server {
 
 using common::Error;
 using common::ErrorCode;
+
+namespace {
+
+// Each verb turns a decoded request into its Reply; only handle_frame and
+// the job it queues encode a Reply into a frame.
+
+/// The result document (plus request stats), or the typed error.
+using Reply = common::Result<Service::Outcome>;
+/// A queued verb's work, run on a JobQueue dispatcher thread.
+using Work = std::function<Reply(const common::CancelToken&)>;
+
+/// What an inline verb may touch besides its request.
+struct Context {
+  Service& service;
+  JobQueue& queue;
+  std::uint64_t client_id;
+};
+
+Service::Outcome result(std::string result_json) {
+  Service::Outcome outcome;
+  outcome.result_json = std::move(result_json);
+  return outcome;
+}
+
+std::string encode_reply(std::uint64_t id, const Reply& reply) {
+  return reply ? encode_result_response(id, reply->result_json, reply->stats)
+               : encode_error_response(id, reply.error());
+}
+
+common::Result<common::JsonValue> decode_request(const std::string& payload) {
+  VPP_ASSIGN_OR_RETURN(common::JsonValue doc, common::parse_json(payload));
+  if (!doc.is_object()) {
+    return Error{ErrorCode::kParseError, "request must be a JSON object"};
+  }
+  return doc;
+}
+
+Reply unknown(const Context&, const common::JsonValue& doc) {
+  return Error{ErrorCode::kUnknownRequest,
+               "unknown request type '" + doc.string_or("type", "") + "'"};
+}
+
+Reply ping(const Context&, const common::JsonValue&) {
+  return result("{\"kind\":\"pong\"}");
+}
+
+Reply shutdown(const Context&, const common::JsonValue&) {
+  return result("{\"kind\":\"shutdown\"}");
+}
+
+Reply stats(const Context& ctx, const common::JsonValue&) {
+  const ResultCache::Stats cache = ctx.service.cache_stats();
+  const JobQueue::Stats jobs = ctx.queue.stats();
+  common::JsonWriter w;
+  w.begin_object().kv("kind", "stats");
+  w.key("cache")
+      .begin_object()
+      .kv("hits", cache.hits)
+      .kv("misses", cache.misses)
+      .kv("cells", cache.cells)
+      .kv("wcdp_preps", cache.wcdp_preps)
+      .kv("evictions", cache.evictions)
+      .kv("max_cells", cache.max_cells)
+      .end_object();
+  w.key("queue")
+      .begin_object()
+      .kv("submitted", jobs.submitted)
+      .kv("completed", jobs.completed)
+      .kv("rejected_full", jobs.rejected_full)
+      .kv("rejected_quota", jobs.rejected_quota)
+      .kv("cancel_requests", jobs.cancel_requests)
+      .kv("pending", jobs.pending)
+      .kv("running", jobs.running)
+      .end_object();
+  w.end_object();
+  return result(w.str());
+}
+
+Reply cancel(const Context& ctx, const common::JsonValue& doc) {
+  const bool found = ctx.queue.cancel(ctx.client_id, doc.uint_or("target", 0));
+  common::JsonWriter w;
+  w.begin_object().kv("kind", "cancel").kv("found", found).end_object();
+  return result(w.str());
+}
+
+// The campaign verbs are inline too: the coordinator's merge is bookkeeping;
+// the shard compute runs on the workers.
+Reply campaign_open(const Context& ctx, const common::JsonValue& doc) {
+  const common::JsonValue* spec_doc = doc.find("campaign");
+  if (spec_doc == nullptr || !spec_doc->is_object()) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "campaign_open needs a campaign spec object"};
+  }
+  VPP_ASSIGN_OR_RETURN(const core::CampaignManifest spec,
+                       core::parse_campaign_manifest(*spec_doc));
+  VPP_ASSIGN_OR_RETURN(const auto coordinator,
+                       ctx.service.open_campaign(spec));
+  const CampaignCoordinator::Status status = coordinator->status();
+  common::JsonWriter w;
+  w.begin_object()
+      .kv("kind", "campaign")
+      .kv("phase", core::campaign_phase_name(status.phase))
+      .kv("plan_hash", core::u64_hex(status.plan_hash))
+      .kv("planned_shards", status.planned)
+      .kv("done", status.done)
+      .kv("remaining", status.planned - status.done)
+      .kv("complete", status.complete)
+      .end_object();
+  return result(w.str());
+}
+
+Reply lease(const Context& ctx, const common::JsonValue& doc) {
+  VPP_ASSIGN_OR_RETURN(const LeaseRequest request, parse_lease_request(doc));
+  VPP_ASSIGN_OR_RETURN(const auto coordinator,
+                       ctx.service.find_campaign(request.plan_hash));
+  VPP_ASSIGN_OR_RETURN(const LeaseGrant grant,
+                       coordinator->lease(request.worker, request.max_shards,
+                                          request.ttl_ms, steady_now_ms()));
+  // need_plan splices the coordinator's cached spec text verbatim.
+  return result(encode_lease_result(
+      grant, request.need_plan
+                 ? std::string_view(coordinator->campaign_spec_json())
+                 : std::string_view()));
+}
+
+Reply submit(const Context& ctx, const common::JsonValue& doc) {
+  VPP_ASSIGN_OR_RETURN(const SubmitRequest request, parse_submit_request(doc));
+  VPP_ASSIGN_OR_RETURN(const auto coordinator,
+                       ctx.service.find_campaign(request.plan_hash));
+  VPP_ASSIGN_OR_RETURN(
+      const SubmitOutcome outcome,
+      coordinator->submit(request.worker, request.token, request.plan_hash,
+                          request.wcdp, request.shards, steady_now_ms()));
+  return result(encode_submit_result(outcome));
+}
+
+Reply heartbeat(const Context& ctx, const common::JsonValue& doc) {
+  VPP_ASSIGN_OR_RETURN(const HeartbeatRequest request,
+                       parse_heartbeat_request(doc));
+  VPP_ASSIGN_OR_RETURN(const auto coordinator,
+                       ctx.service.find_campaign(request.plan_hash));
+  VPP_ASSIGN_OR_RETURN(const std::uint64_t renewed,
+                       coordinator->heartbeat(request.token, request.ttl_ms,
+                                              steady_now_ms()));
+  return result(encode_heartbeat_result(renewed, coordinator->complete()));
+}
+
+common::Result<Work> sweep(Service& service, const common::JsonValue& doc) {
+  VPP_ASSIGN_OR_RETURN(SweepRequest request, parse_sweep_request(doc));
+  return Work([&service, request = std::move(request)](
+                  const common::CancelToken& token) {
+    return service.sweep(request, token);
+  });
+}
+
+common::Result<Work> inject(Service& service, const common::JsonValue& doc) {
+  VPP_ASSIGN_OR_RETURN(InjectRequest request, parse_inject_request(doc));
+  return Work([&service, request = std::move(request)](
+                  const common::CancelToken& token) {
+    return service.inject(request, token);
+  });
+}
+
+common::Result<Work> replay(Service& service, const common::JsonValue& doc) {
+  return Work([&service, dump = doc.string_or("dump", "")](
+                  const common::CancelToken& token) {
+    return service.replay(dump, token);
+  });
+}
+
+/// A verb sets `answer` (inline, on the reader thread) or `queued` (parsed
+/// on the reader thread, run on a dispatcher thread).
+struct Verb {
+  std::string_view type;
+  Reply (*answer)(const Context&, const common::JsonValue&) = nullptr;
+  common::Result<Work> (*queued)(Service&, const common::JsonValue&) = nullptr;
+  bool closes = false;  ///< shutdown: the ack is the connection's last frame
+};
+
+const Verb& find_verb(std::string_view type) {
+  static constexpr Verb kVerbs[] = {
+      {.type = "ping", .answer = ping},
+      {.type = "stats", .answer = stats},
+      {.type = "cancel", .answer = cancel},
+      {.type = "campaign_open", .answer = campaign_open},
+      {.type = "lease", .answer = lease},
+      {.type = "submit", .answer = submit},
+      {.type = "heartbeat", .answer = heartbeat},
+      {.type = "shutdown", .answer = shutdown, .closes = true},
+      {.type = "sweep", .queued = sweep},
+      {.type = "inject", .queued = inject},
+      {.type = "replay", .queued = replay},
+  };
+  static constexpr Verb kUnknown{.type = "", .answer = unknown};
+  for (const Verb& verb : kVerbs) {
+    if (verb.type == type) return verb;
+  }
+  return kUnknown;
+}
+
+}  // namespace
 
 common::Result<std::unique_ptr<Server>> Server::start(Config config) {
   auto listener = common::ServerSocket::listen_loopback(config.port);
@@ -128,243 +331,31 @@ void Server::handle_connection(const std::shared_ptr<Connection>& conn) {
 
 bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
                           const std::string& payload) {
-  auto doc = common::parse_json(payload);
-  if (!doc) {
-    // No id could be decoded; id 0 is the protocol's "unattributable".
-    send_frame(*conn, encode_error_response(0, doc.error()));
-    return true;
+  auto request = decode_request(payload);
+  // id 0 is the protocol's "unattributable": no id could be decoded.
+  const std::uint64_t id = request ? request->uint_or("id", 0) : 0;
+  const Verb& verb = find_verb(request ? request->string_or("type", "") : "");
+  if (request && verb.queued != nullptr) {
+    // Parsed here, so a malformed request never takes a queue slot or
+    // quota. An admitted job answers when it finishes.
+    auto admitted = verb.queued(service_, *request).and_then([&](Work work) {
+      return queue_.submit(
+          conn->id, id,
+          [this, conn, id, work = std::move(work)](
+              const common::CancelToken& token) {
+            send_frame(*conn, encode_reply(id, work(token)));
+          });
+    });
+    if (admitted) return true;
+    request = std::move(admitted).error();  // refused: answered below
   }
-  if (!doc->is_object()) {
-    send_frame(*conn,
-               encode_error_response(
-                   0, Error{ErrorCode::kParseError,
-                            "request must be a JSON object"}));
-    return true;
-  }
-  const std::uint64_t id = doc->uint_or("id", 0);
-  const std::string type = doc->string_or("type", "");
-
-  if (type == "ping") {
-    send_frame(*conn,
-               encode_result_response(id, "{\"kind\":\"pong\"}", {}));
-    return true;
-  }
-  if (type == "stats") {
-    const ResultCache::Stats cache = service_.cache_stats();
-    const JobQueue::Stats jobs = queue_.stats();
-    common::JsonWriter w;
-    w.begin_object().kv("kind", "stats");
-    w.key("cache")
-        .begin_object()
-        .kv("hits", cache.hits)
-        .kv("misses", cache.misses)
-        .kv("cells", cache.cells)
-        .kv("wcdp_preps", cache.wcdp_preps)
-        .kv("evictions", cache.evictions)
-        .kv("max_cells", cache.max_cells)
-        .end_object();
-    w.key("queue")
-        .begin_object()
-        .kv("submitted", jobs.submitted)
-        .kv("completed", jobs.completed)
-        .kv("rejected_full", jobs.rejected_full)
-        .kv("rejected_quota", jobs.rejected_quota)
-        .kv("cancel_requests", jobs.cancel_requests)
-        .kv("pending", jobs.pending)
-        .kv("running", jobs.running)
-        .end_object();
-    w.end_object();
-    send_frame(*conn, encode_result_response(id, w.str(), {}));
-    return true;
-  }
-  if (type == "cancel") {
-    const std::uint64_t target = doc->uint_or("target", 0);
-    const bool found = queue_.cancel(conn->id, target);
-    common::JsonWriter w;
-    w.begin_object().kv("kind", "cancel").kv("found", found).end_object();
-    send_frame(*conn, encode_result_response(id, w.str(), {}));
-    return true;
-  }
-  // Campaign distribution verbs are answered inline on the reader thread,
-  // like stats/cancel: the coordinator's merge is bookkeeping, not compute
-  // -- the expensive part (shard execution) happens on the *workers*.
-  if (type == "campaign_open") {
-    const common::JsonValue* spec_doc = doc->find("campaign");
-    if (spec_doc == nullptr || !spec_doc->is_object()) {
-      send_frame(*conn, encode_error_response(
-                            id, Error{ErrorCode::kInvalidArgument,
-                                      "campaign_open needs a campaign spec "
-                                      "object"}));
-      return true;
-    }
-    auto spec = core::parse_campaign_manifest(*spec_doc);
-    if (!spec) {
-      send_frame(*conn, encode_error_response(id, spec.error()));
-      return true;
-    }
-    auto coordinator = service_.open_campaign(*spec);
-    if (!coordinator) {
-      send_frame(*conn, encode_error_response(id, coordinator.error()));
-      return true;
-    }
-    const CampaignCoordinator::Status status = (*coordinator)->status();
-    common::JsonWriter w;
-    w.begin_object()
-        .kv("kind", "campaign")
-        .kv("phase", core::campaign_phase_name(status.phase))
-        .kv("plan_hash", core::u64_hex(status.plan_hash))
-        .kv("planned_shards", status.planned)
-        .kv("done", status.done)
-        .kv("remaining", status.planned - status.done)
-        .kv("complete", status.complete)
-        .end_object();
-    send_frame(*conn, encode_result_response(id, w.str(), {}));
-    return true;
-  }
-  if (type == "lease") {
-    auto request = parse_lease_request(*doc);
-    if (!request) {
-      send_frame(*conn, encode_error_response(id, request.error()));
-      return true;
-    }
-    auto coordinator = service_.find_campaign(request->plan_hash);
-    if (!coordinator) {
-      send_frame(*conn, encode_error_response(id, coordinator.error()));
-      return true;
-    }
-    auto grant = (*coordinator)
-                     ->lease(request->worker, request->max_shards,
-                             request->ttl_ms, steady_now_ms());
-    if (!grant) {
-      send_frame(*conn, encode_error_response(id, grant.error()));
-      return true;
-    }
-    const std::string_view spec_json =
-        request->need_plan
-            ? std::string_view((*coordinator)->campaign_spec_json())
-            : std::string_view();
-    send_frame(*conn, encode_result_response(
-                          id, encode_lease_result(*grant, spec_json), {}));
-    return true;
-  }
-  if (type == "submit") {
-    auto request = parse_submit_request(*doc);
-    if (!request) {
-      send_frame(*conn, encode_error_response(id, request.error()));
-      return true;
-    }
-    auto coordinator = service_.find_campaign(request->plan_hash);
-    if (!coordinator) {
-      send_frame(*conn, encode_error_response(id, coordinator.error()));
-      return true;
-    }
-    auto outcome = (*coordinator)
-                       ->submit(request->worker, request->token,
-                                request->plan_hash, request->wcdp,
-                                request->shards, steady_now_ms());
-    if (!outcome) {
-      send_frame(*conn, encode_error_response(id, outcome.error()));
-      return true;
-    }
-    send_frame(*conn,
-               encode_result_response(id, encode_submit_result(*outcome), {}));
-    return true;
-  }
-  if (type == "heartbeat") {
-    auto request = parse_heartbeat_request(*doc);
-    if (!request) {
-      send_frame(*conn, encode_error_response(id, request.error()));
-      return true;
-    }
-    auto coordinator = service_.find_campaign(request->plan_hash);
-    if (!coordinator) {
-      send_frame(*conn, encode_error_response(id, coordinator.error()));
-      return true;
-    }
-    auto renewed =
-        (*coordinator)->heartbeat(request->token, request->ttl_ms,
-                                  steady_now_ms());
-    if (!renewed) {
-      send_frame(*conn, encode_error_response(id, renewed.error()));
-      return true;
-    }
-    send_frame(*conn, encode_result_response(
-                          id,
-                          encode_heartbeat_result(*renewed,
-                                                  (*coordinator)->complete()),
-                          {}));
-    return true;
-  }
-  if (type == "shutdown") {
-    send_frame(*conn,
-               encode_result_response(id, "{\"kind\":\"shutdown\"}", {}));
-    request_shutdown();
-    return false;
-  }
-  if (type == "sweep") {
-    auto request = parse_sweep_request(*doc);
-    if (!request) {
-      send_frame(*conn, encode_error_response(id, request.error()));
-      return true;
-    }
-    auto admitted = queue_.submit(
-        conn->id, id,
-        [this, conn, id, request = std::move(*request)](
-            const common::CancelToken& token) {
-          auto outcome = service_.sweep(request, token);
-          send_frame(*conn,
-                     outcome ? encode_result_response(id, outcome->result_json,
-                                                      outcome->stats)
-                             : encode_error_response(id, outcome.error()));
-        });
-    if (!admitted.ok()) {
-      send_frame(*conn, encode_error_response(id, admitted.error()));
-    }
-    return true;
-  }
-  if (type == "inject") {
-    auto request = parse_inject_request(*doc);
-    if (!request) {
-      send_frame(*conn, encode_error_response(id, request.error()));
-      return true;
-    }
-    auto admitted = queue_.submit(
-        conn->id, id,
-        [this, conn, id, request = std::move(*request)](
-            const common::CancelToken& token) {
-          auto outcome = service_.inject(request, token);
-          send_frame(*conn,
-                     outcome ? encode_result_response(id, outcome->result_json,
-                                                      outcome->stats)
-                             : encode_error_response(id, outcome.error()));
-        });
-    if (!admitted.ok()) {
-      send_frame(*conn, encode_error_response(id, admitted.error()));
-    }
-    return true;
-  }
-  if (type == "replay") {
-    std::string dump = doc->string_or("dump", "");
-    auto admitted = queue_.submit(
-        conn->id, id,
-        [this, conn, id, dump = std::move(dump)](
-            const common::CancelToken& token) {
-          auto outcome = service_.replay(dump, token);
-          send_frame(*conn,
-                     outcome ? encode_result_response(id, outcome->result_json,
-                                                      outcome->stats)
-                             : encode_error_response(id, outcome.error()));
-        });
-    if (!admitted.ok()) {
-      send_frame(*conn, encode_error_response(id, admitted.error()));
-    }
-    return true;
-  }
-  send_frame(*conn,
-             encode_error_response(
-                 id, Error{ErrorCode::kUnknownRequest,
-                           "unknown request type '" + type + "'"}));
-  return true;
+  const Reply reply = request.and_then([&](const common::JsonValue& doc) {
+    return verb.answer(Context{service_, queue_, conn->id}, doc);
+  });
+  send_frame(*conn, encode_reply(id, reply));
+  const bool closes = reply && verb.closes;
+  if (closes) request_shutdown();
+  return !closes;
 }
 
 void Server::send_frame(Connection& conn, std::string_view payload) {
@@ -374,26 +365,21 @@ void Server::send_frame(Connection& conn, std::string_view payload) {
   (void)write_frame(conn.socket, payload);
 }
 
+bool publish_port(const std::string& path, std::uint16_t port) {
+  return common::write_file_atomic(path, {std::to_string(port), "\n"});
+}
+
 int run_daemon(const DaemonOptions& options) {
   auto server = Server::start(options.config);
   if (!server) {
     std::fprintf(stderr, "vppd: %s\n", server.error().to_string().c_str());
     return 3;
   }
-  if (!options.port_file.empty()) {
-    const std::string tmp = options.port_file + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "vppd: cannot write %s\n", tmp.c_str());
-      return 3;
-    }
-    std::fprintf(f, "%u\n", static_cast<unsigned>((*server)->port()));
-    std::fclose(f);
-    if (std::rename(tmp.c_str(), options.port_file.c_str()) != 0) {
-      std::fprintf(stderr, "vppd: cannot publish %s\n",
-                   options.port_file.c_str());
-      return 3;
-    }
+  if (!options.port_file.empty() &&
+      !publish_port(options.port_file, (*server)->port())) {
+    std::fprintf(stderr, "vppd: cannot publish %s\n",
+                 options.port_file.c_str());
+    return 3;
   }
   std::printf("vppd listening on 127.0.0.1:%u\n",
               static_cast<unsigned>((*server)->port()));

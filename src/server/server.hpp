@@ -2,12 +2,14 @@
 // JSON protocol of server/protocol.hpp.
 //
 // One thread accepts connections; each connection gets a reader thread that
-// decodes frames and dispatches requests. Cheap requests (ping, stats,
-// cancel, shutdown) are answered inline on the reader thread; work requests
-// (sweep, inject, replay) are admitted through the bounded JobQueue --
-// admission failures (kQueueFull, kQuotaExceeded) are answered immediately
-// with a typed error -- and executed on dispatcher threads, which write
-// their response through the connection's write mutex whenever they finish
+// decodes each frame and dispatches it through one verb table (server.cpp):
+// each verb maps its request to a Result, and only the dispatcher encodes
+// replies. Inline verbs (ping, stats, cancel, shutdown, campaign_open, lease,
+// submit, heartbeat) are answered on the reader thread, in frame order. Work
+// verbs (sweep, inject, replay) are parsed there too, then admitted through
+// the bounded JobQueue -- refusals (bad request, kQueueFull, kQuotaExceeded)
+// are answered at once -- and run on dispatcher threads, which write their
+// response through the connection's write mutex whenever they finish
 // (responses may be reordered relative to pipelined requests; ids pair them
 // up).
 //
@@ -26,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -111,11 +114,14 @@ class Server {
 /// Options of the vppd daemon (tools/vppd).
 struct DaemonOptions {
   Server::Config config;
-  /// When non-empty, the bound port is published here (written to a temp
-  /// file and renamed, so a reader never sees a partial write) -- the
+  /// When non-empty, publish_port writes the bound port here -- the
   /// child-process handshake of tests/server.
   std::string port_file;
 };
+
+/// Write "<port>\n" to `path` atomically (a reader never sees a partial
+/// file); false when the write fails.
+[[nodiscard]] bool publish_port(const std::string& path, std::uint16_t port);
 
 /// Run a daemon until a client requests shutdown. Returns the process exit
 /// code: 0 on a clean shutdown, 3 on a typed startup error.

@@ -9,6 +9,7 @@
 
 #include "chips/module_db.hpp"
 #include "core/export.hpp"
+#include "harness/retention_test.hpp"
 #include "softmc/fault_injector.hpp"
 #include "softmc/trace_dump.hpp"
 #include "softmc/trace_replayer.hpp"
@@ -20,18 +21,6 @@ using common::Error;
 using common::ErrorCode;
 
 namespace {
-
-/// Reconstruct the tREFW window grid RetentionTest::test_row probes: a pure
-/// function of the config (doubling from min to max), needed to rebuild a
-/// full retention row from a cached BER vector.
-std::vector<double> retention_windows(const core::SweepConfig& cfg) {
-  std::vector<double> windows;
-  for (double t = cfg.retention.min_trefw_ms; t <= cfg.retention.max_trefw_ms;
-       t *= 2.0) {
-    windows.push_back(t);
-  }
-  return windows;
-}
 
 /// The daemon's ResultCache adapted to the engine's CellStore interface.
 /// Keys fold every axis coordinate of the (normalized) grid point
@@ -262,7 +251,7 @@ common::Result<Service::Outcome> Service::sweep(const SweepRequest& request,
   const bool multi_axis = !plan.axes.vpp_only();
 
   Outcome out;
-  CacheStore store(cache_, digest, retention_windows(cfg), out.stats);
+  CacheStore store(cache_, digest, harness::retention_windows(cfg.retention), out.stats);
   core::CampaignEngine engine(std::move(plan), &store,
                               {.arenas = &arenas_, .pool = &pool_});
 

@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -298,6 +299,53 @@ TEST(ServerStress, PipelinedRequestsBeyondQuotaGetTypedRejections) {
   EXPECT_EQ(rejected, 2);
   const JobQueue::Stats stats = (*server)->queue_stats();
   EXPECT_EQ(stats.rejected_full + stats.rejected_quota, 2u);
+
+  (*server)->stop();
+}
+
+// A malformed queued request is refused on the reader thread, before
+// admission: while a running sweep holds the client's only quota slot, a
+// sweep with rows 0 and an inject with no modules still get
+// kInvalidArgument (not kQuotaExceeded) and are never submitted.
+TEST(ServerStress, MalformedQueuedRequestsAreRefusedBeforeAdmission) {
+  Server::Config config;
+  config.service.jobs = 1;
+  config.service.rows_per_shard = 1;
+  config.queue.per_client_quota = 1;
+  config.queue.dispatchers = 1;
+  auto server = Server::start(config);
+  ASSERT_TRUE(server.has_value());
+
+  RawConn conn = RawConn::connect((*server)->port());
+  // Far more work than the test lasts: it holds the quota slot until stop()
+  // cancels it.
+  SweepRequest holder;
+  holder.rows = 4096;
+  holder.step = 0.05;
+  SweepRequest bad_sweep;
+  bad_sweep.rows = 0;
+  InjectRequest bad_inject;
+  bad_inject.modules.clear();
+  conn.send_payload(encode_sweep_request(1, holder));
+  conn.send_payload(encode_sweep_request(2, bad_sweep));
+  conn.send_payload(encode_inject_request(3, bad_inject));
+  // A well-formed sweep behind them shows the quota was exhausted all along:
+  // the reader handles one connection's frames in order.
+  conn.send_payload(encode_sweep_request(4, holder));
+
+  std::map<std::uint64_t, std::string> codes;
+  for (int i = 0; i < 3; ++i) {
+    auto response = conn.recv_response();
+    ASSERT_TRUE(response.has_value());
+    codes[response->uint_or("id", 0)] = testing::response_error_code(*response);
+  }
+  EXPECT_EQ(codes[2], "kInvalidArgument");
+  EXPECT_EQ(codes[3], "kInvalidArgument");
+  EXPECT_EQ(codes[4], "kQuotaExceeded");
+  const JobQueue::Stats stats = (*server)->queue_stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.rejected_quota, 1u);
+  EXPECT_EQ(stats.rejected_full, 0u);
 
   (*server)->stop();
 }

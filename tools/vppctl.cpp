@@ -814,16 +814,10 @@ int cmd_campaign_distribute(const std::map<std::string, std::string>& flags) {
   }
   std::unique_ptr<server::Server> srv = std::move(*started);
   srv->service().adopt_campaign(coord);
-  if (!daemon.port_file.empty()) {
-    const std::string tmp = daemon.port_file + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr ||
-        std::fprintf(f, "%u\n", static_cast<unsigned>(srv->port())) < 0 ||
-        std::fclose(f) != 0 ||
-        std::rename(tmp.c_str(), daemon.port_file.c_str()) != 0) {
-      std::fprintf(stderr, "cannot publish %s\n", daemon.port_file.c_str());
-      return 3;
-    }
+  if (!daemon.port_file.empty() &&
+      !server::publish_port(daemon.port_file, srv->port())) {
+    std::fprintf(stderr, "cannot publish %s\n", daemon.port_file.c_str());
+    return 3;
   }
   std::printf("coordinator on 127.0.0.1:%u: %llu shard(s), manifest %s\n",
               static_cast<unsigned>(srv->port()),
@@ -1011,27 +1005,6 @@ int cmd_campaign(int argc, char** argv) {
 // campaign, 2 usage errors, 3 typed errors (killed/cancelled runs leave a
 // resumable manifest behind).
 
-/// The summed post-TRR flip score of one pattern at one (module, VPP) grid
-/// point, straight from the final generation's grids.
-double fuzz_grid_score(const std::vector<core::HammerGrid>& grids,
-                       const std::string& module, std::uint64_t vpp_mv,
-                       std::uint64_t pattern_hash) {
-  double total = 0.0;
-  for (const core::HammerGrid& grid : grids) {
-    if (grid.module_name != module) continue;
-    for (std::size_t p = 0; p < grid.points.size(); ++p) {
-      if (grid.points[p].pattern_hash != pattern_hash ||
-          core::vpp_millivolts(grid.points[p].vpp_v) != vpp_mv) {
-        continue;
-      }
-      for (const auto& cell : grid.cells[p]) {
-        total += static_cast<double>(cell.hc_first);
-      }
-    }
-  }
-  return total;
-}
-
 int render_fuzz_result(const core::FuzzCampaignResult& result,
                        const std::string& csv_path,
                        const std::string& json_path) {
@@ -1046,8 +1019,8 @@ int render_fuzz_result(const core::FuzzCampaignResult& result,
     std::printf("%-4s %-8.2f %-24s %12.0f %12.0f\n", point.module.c_str(),
                 static_cast<double>(point.vpp_mv) / 1000.0,
                 best.spec.name.c_str(), best.score,
-                fuzz_grid_score(result.grids, point.module, point.vpp_mv,
-                                uniform_hash));
+                core::fuzz_fitness(result.grids, point.module, point.vpp_mv,
+                                   uniform_hash));
   }
   return render_campaign_grids(core::JobPhase::kRowHammer, result.grids,
                                csv_path, json_path);
@@ -1199,15 +1172,10 @@ int cmd_fuzz_status(const std::map<std::string, std::string>& flags) {
               manifest->completed.size(), manifest->generations);
   if (!manifest->completed.empty()) {
     for (const core::FuzzPopulation& point : manifest->completed.back()) {
-      const harness::ScoredSpec* best = nullptr;
-      for (const harness::ScoredSpec& m : point.members) {
-        if (best == nullptr || m.score > best->score ||
-            (m.score == best->score &&
-             m.spec.spec_hash() < best->spec.spec_hash())) {
-          best = &m;
-        }
-      }
-      if (best != nullptr) {
+      const auto best =
+          std::min_element(point.members.begin(), point.members.end(),
+                           harness::ranks_before);
+      if (best != point.members.end()) {
         std::printf("  %-4s VPP=%.2fV best %-24s score %.0f\n",
                     point.module.c_str(),
                     static_cast<double>(point.vpp_mv) / 1000.0,
