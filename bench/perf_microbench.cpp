@@ -28,6 +28,16 @@ namespace {
 
 using namespace vppstudy;
 
+/// The module's flip-index counters (dram::FlipIndexStats) as bench
+/// counters: how its senses were served, and the index memory they left.
+void report_flip_index(benchmark::State& state, const dram::Module& module) {
+  const dram::FlipIndexStats& stats = module.flip_index_stats();
+  state.counters["index_builds"] = static_cast<double>(stats.builds);
+  state.counters["index_senses"] = static_cast<double>(stats.index_senses);
+  state.counters["full_row_scans"] = static_cast<double>(stats.full_row_scans);
+  state.counters["index_bytes"] = static_cast<double>(stats.index_bytes);
+}
+
 void BM_Mix64(benchmark::State& state) {
   std::uint64_t x = 1;
   for (auto _ : state) {
@@ -76,10 +86,11 @@ BENCHMARK(BM_MeasureBer)->Arg(1000)->Arg(300000);
 // ACT+PRE that evaluates the accumulated disturbance on the victim. range(0)
 // is the per-side hammer count; range(1) == 1 evaluates flips with the
 // reference full-row scan instead of the flip-index fast path, so fast vs
-// reference is a pair of adjacent bench rows. The low-count case keeps the
-// flip probability within the index (O(actual flips)); the high-count case
-// exceeds the index tail and exercises the bit-exact full-scan fallback in
-// both modes.
+// reference is a pair of adjacent bench rows. 120K keeps the flip
+// probability within the row's first index (p ~ 2e-4), 2M puts it in the
+// deep band (p ~ 1/55, the index grown to 1/32), and 8M past the deepest
+// index (p ~ 1/6), where both modes take the bit-exact full-scan fallback.
+// The flip-index counters say which path served the senses.
 void BM_SenseRestore(benchmark::State& state) {
   auto profile = chips::profile_by_name("B3").value();
   profile.rows_per_bank = 4096;
@@ -115,12 +126,15 @@ void BM_SenseRestore(benchmark::State& state) {
                           (before.hammer_bit_flips +
                            before.retention_bit_flips)),
       benchmark::Counter::kIsRate);
+  report_flip_index(state, module);
 }
 BENCHMARK(BM_SenseRestore)
     ->Args({120000, 0})
     ->Args({120000, 1})
     ->Args({2000000, 0})
-    ->Args({2000000, 1});
+    ->Args({2000000, 1})
+    ->Args({8000000, 0})
+    ->Args({8000000, 1});
 
 // Retention-dominated flip evaluation: the victim sits unrefreshed for
 // 500ms, then one ACT+PRE applies leakage and weak-cell physics. range(0)
@@ -144,8 +158,53 @@ void BM_ApplyFlips(benchmark::State& state) {
       break;
     }
   }
+  report_flip_index(state, module);
 }
 BENCHMARK(BM_ApplyFlips)->Arg(0)->Arg(1);
+
+// Alg. 3's retention windows on one row at 80C: each iteration rewrites the
+// row, then senses it after 16 ms, 32 ms, ... 8 s unrefreshed -- eleven
+// senses whose p climbs to about 1/30, all within the row's deepest flip
+// index, which the first iteration grows and every later one reuses.
+// range(0) == 1 uses the reference full-row scan.
+void BM_ApplyFlipsLadder(benchmark::State& state) {
+  auto profile = chips::profile_by_name("B3").value();
+  profile.rows_per_bank = 4096;
+  dram::Module::Options opts;
+  opts.reference_sensing = state.range(0) != 0;
+  dram::Module module(std::move(profile), opts);
+  module.set_trr_enabled(false);
+  module.set_temperature(80.0);
+  const auto image =
+      dram::pattern_row(dram::DataPattern::kCheckerAA, dram::kBytesPerRow);
+  double now = 100.0;
+  for (auto _ : state) {
+    common::Status st = module.activate(0, 500, now);
+    if (st.ok()) {
+      auto run = module.column_run(dram::CommandKind::kWrite, 0,
+                                   dram::kColumnsPerRow - 1);
+      if (run) {
+        run->write_columns(0, image);
+      } else {
+        st = run.error();
+      }
+    }
+    now += 35.0;
+    if (st.ok()) st = module.precharge(0, now);
+    for (double ms = 16; st.ok() && ms <= 8192; ms *= 2) {
+      now += ms * 1e6;
+      st = module.activate(0, 500, now);
+      now += 35.0;
+      if (st.ok()) st = module.precharge(0, now);
+    }
+    if (!st.ok()) {
+      state.SkipWithError(st.error().message.c_str());
+      break;
+    }
+  }
+  report_flip_index(state, module);
+}
+BENCHMARK(BM_ApplyFlipsLadder)->Arg(0)->Arg(1);
 
 // Full-row readout (ACT + 1024 RD + PRE): the read-burst buffer is pre-sized
 // from Program::read_count(), so the executor does no vector reallocation.

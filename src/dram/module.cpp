@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -22,6 +23,28 @@ constexpr double kNegligibleExpectedFlips = 1e-3;
 
 /// Probability floor below which individual hash draws are skipped.
 constexpr double kNegligibleCellProbability = 1e-12;
+
+/// Flip-index depths (docs/MODEL.md "Sensing hot path & flip index"): a
+/// row's first index keeps the cells of p <= 1/64, a miss doubles the depth
+/// (or jumps to the power of two >= 4p), and past 1/16 the row is scanned.
+constexpr double kFlipIndexFirstDepth = 1.0 / 64;
+constexpr double kFlipIndexMaxDepth = 1.0 / 16;
+
+/// Above this many flip candidates a sense tests charge with the row's
+/// polarity words, building them if need be; below, unless the row has
+/// them already, two hash rounds per candidate are cheaper than 8 KB more.
+constexpr std::uint32_t kPolarityWordsCandidates = 1024;
+
+/// The flip-index path's candidate sets (hammer, retention), empty between
+/// senses: the path empties them as it reads them.
+struct FlipCandidates {
+  CellPhysics::RowBits hammer;
+  CellPhysics::RowBits retention;
+};
+FlipCandidates& flip_candidates() {
+  thread_local FlipCandidates candidates;
+  return candidates;
+}
 
 }  // namespace
 
@@ -157,20 +180,20 @@ const std::vector<std::uint64_t>& Module::cached_polarity(
   return cache.polarity;
 }
 
-const CellPhysics::RowFlipIndex* Module::usable_flip_index(
+const CellPhysics::RowFlipIndex* Module::covering_flip_index(
     std::uint32_t bank, std::uint32_t physical_row, RowState& rs,
     CellPhysics::CellDraw what, double p) {
-  auto& cache = *rs.physics;
-  const bool hammer = what == CellPhysics::CellDraw::kHammer;
-  bool& built = hammer ? cache.has_hammer_index : cache.has_retention_index;
-  auto& index = hammer ? cache.hammer_index : cache.retention_index;
-  if (!built) {
-    // Building costs one full-row pass; only worth it when the requested
-    // probability is small enough that the default tail depth will cover
-    // it (large p means the full scan is the right tool anyway).
-    if (p > CellPhysics::kFlipIndexSafeP) return nullptr;
-    index = physics_.build_flip_index(bank, physical_row, what);
-    built = true;
+  auto& index = what == CellPhysics::CellDraw::kHammer
+                    ? rs.physics->hammer_index
+                    : rs.physics->retention_index;
+  if (!index.covers(p)) {
+    double depth = std::max(2 * index.depth(), kFlipIndexFirstDepth);
+    while (depth < 4 * p && depth < kFlipIndexMaxDepth) depth *= 2;
+    flip_index_stats_.index_bytes -= index.bytes();
+    index = physics_.build_flip_index(bank, physical_row, what,
+                                      std::min(depth, kFlipIndexMaxDepth));
+    flip_index_stats_.index_bytes += index.bytes();
+    ++flip_index_stats_.builds;
   }
   return index.covers(p) ? &index : nullptr;
 }
@@ -193,97 +216,107 @@ void Module::apply_flips(std::uint32_t bank, std::uint32_t physical_row,
   }
   if (!do_hammer && !do_retention && weak_flips.empty()) return;
 
-  const double hammer_threshold = 1.0 - p_hammer;
-  const double retention_threshold = 1.0 - p_retention;
-  const auto stored_bit = [&](std::uint32_t bit) {
-    return ((rs.data[bit / 8] >> (bit % 8)) & 1u) != 0;
-  };
-
-  // Candidate flips per mechanism, each sorted ascending by bit. A bit that
-  // qualifies for both mechanisms is classified as a hammer flip (matching
-  // the reference scan, which tests the hammer draw first).
+  // Candidate flips per mechanism, each sorted ascending by bit. Only a
+  // charged cell can lose its charge -- one whose stored value is the
+  // discharged state is immune to hammering and leakage -- so both lists
+  // keep the eligible bits, ~(stored ^ polarity). A bit that qualifies for
+  // both mechanisms is a hammer flip.
   std::vector<std::uint32_t> hammer_bits;
   std::vector<std::uint32_t> retention_bits;
+  const auto stored_word = [&](std::uint32_t w) {
+    std::uint64_t stored = 0;
+    for (std::uint32_t b = 0; b < 8; ++b) {
+      stored |= static_cast<std::uint64_t>(rs.data[w * 8 + b]) << (8 * b);
+    }
+    return stored;
+  };
+  const auto append_bits = [](std::uint64_t mask, std::uint32_t base,
+                              std::vector<std::uint32_t>& out) {
+    for (; mask != 0; mask &= mask - 1) {
+      out.push_back(base + static_cast<std::uint32_t>(std::countr_zero(mask)));
+    }
+  };
 
+  // Past the deepest index, either mechanism sends the sense to the scan.
+  const bool indexed =
+      !options_.reference_sensing && (do_hammer || do_retention) &&
+      (!do_hammer || p_hammer <= kFlipIndexMaxDepth) &&
+      (!do_retention || p_retention <= kFlipIndexMaxDepth);
   const CellPhysics::RowFlipIndex* hammer_index =
-      do_hammer && !options_.reference_sensing
-          ? usable_flip_index(bank, physical_row, rs,
-                              CellPhysics::CellDraw::kHammer, p_hammer)
+      indexed && do_hammer
+          ? covering_flip_index(bank, physical_row, rs,
+                                CellPhysics::CellDraw::kHammer, p_hammer)
           : nullptr;
   const CellPhysics::RowFlipIndex* retention_index =
-      do_retention && !options_.reference_sensing
-          ? usable_flip_index(bank, physical_row, rs,
-                              CellPhysics::CellDraw::kRetention, p_retention)
+      indexed && do_retention
+          ? covering_flip_index(bank, physical_row, rs,
+                                CellPhysics::CellDraw::kRetention, p_retention)
           : nullptr;
-  const bool fast = !options_.reference_sensing &&
-                    (!do_hammer || hammer_index != nullptr) &&
+  const bool fast = indexed && (!do_hammer || hammer_index != nullptr) &&
                     (!do_retention || retention_index != nullptr);
 
   if (fast) {
-    // O(flips): the cells whose uniform exceeds 1-p are exactly the prefix
-    // of the index (sorted descending by uniform), so walk it until the
-    // threshold and keep the charged ones. Only cells holding charge can
-    // lose it: a cell whose stored value is the discharged state is immune
-    // to both hammering and leakage.
+    // O(flips): each index marks exactly the cells whose draw exceeds
+    // 1 - p, and one walk over the words holding any emits them in
+    // ascending order, emptying the sets as it goes.
+    ++flip_index_stats_.index_senses;
+    FlipCandidates& marked = flip_candidates();
+    std::uint32_t candidates = 0;
     if (hammer_index != nullptr) {
-      for (const auto& e : hammer_index->cells) {
-        if (e.u <= hammer_threshold) break;
-        if (stored_bit(e.bit) ==
-            physics_.charged_value(bank, physical_row, e.bit)) {
-          hammer_bits.push_back(e.bit);
-        }
-      }
-      std::sort(hammer_bits.begin(), hammer_bits.end());
+      candidates += hammer_index->mark(p_hammer, marked.hammer);
     }
     if (retention_index != nullptr) {
-      for (const auto& e : retention_index->cells) {
-        if (e.u <= retention_threshold) break;
-        if (std::binary_search(hammer_bits.begin(), hammer_bits.end(),
-                               e.bit)) {
-          continue;  // already flipped by hammer this pass
-        }
-        if (stored_bit(e.bit) ==
-            physics_.charged_value(bank, physical_row, e.bit)) {
-          retention_bits.push_back(e.bit);
-        }
+      candidates += retention_index->mark(p_retention, marked.retention);
+    }
+    const std::uint64_t* polarity =
+        candidates > kPolarityWordsCandidates ||
+                !rs.physics->polarity.empty()
+            ? cached_polarity(bank, physical_row, rs).data()
+            : nullptr;
+    const std::uint64_t prefix =
+        polarity == nullptr ? physics_.row_hash_prefix(bank, physical_row) : 0;
+    for (std::uint32_t s = 0; s < marked.hammer.nonempty.size(); ++s) {
+      std::uint64_t words =
+          marked.hammer.nonempty[s] | marked.retention.nonempty[s];
+      marked.hammer.nonempty[s] = 0;
+      marked.retention.nonempty[s] = 0;
+      for (; words != 0; words &= words - 1) {
+        const std::uint32_t w =
+            s * 64 + static_cast<std::uint32_t>(std::countr_zero(words));
+        const std::uint64_t hammer = std::exchange(marked.hammer.words[w], 0);
+        const std::uint64_t retention =
+            std::exchange(marked.retention.words[w], 0);
+        const std::uint64_t charged =
+            polarity != nullptr
+                ? polarity[w]
+                : CellPhysics::charged_bits(prefix, w, hammer | retention);
+        const std::uint64_t eligible = ~(stored_word(w) ^ charged);
+        append_bits(hammer & eligible, w * 64, hammer_bits);
+        append_bits(retention & ~hammer & eligible, w * 64, retention_bits);
       }
-      std::sort(retention_bits.begin(), retention_bits.end());
     }
   } else if (do_hammer || do_retention) {
-    // Reference full-row scan: the path the flip index must stay bit-exact
-    // against. It works one 64-bit word at a time: an eligibility mask
-    // (stored == charged) from the cached polarity words, and a "draw
-    // exceeds the threshold" mask from the mask walk, which compares the
-    // hashes against the exact integer form of the threshold. A bit that
-    // qualifies for both mechanisms is a hammer flip, so retention masks
-    // are drawn only for words with eligible bits the hammer left, and only
-    // those bits consult them. Bits come out of countr_zero in ascending
-    // order, so both lists are already sorted. The hammer masks are drawn
-    // 16 words at a time: a whole-row mask array in this frame measurably
-    // slows the O(flips) path above, which shares the frame.
+    // The full-row scan, and the reference the flip index stays bit-exact
+    // against. It works one 64-bit word at a time: eligibility from the
+    // cached polarity words, and a "draw exceeds the threshold" mask from
+    // the mask walk, which compares the hashes against the exact integer
+    // form of the threshold. Retention masks are drawn only for words with
+    // eligible bits the hammer left. The hammer masks are drawn 16 words at
+    // a time: a whole-row mask array in this frame measurably slows the
+    // O(flips) path above, which shares the frame.
+    ++flip_index_stats_.full_row_scans;
     const std::vector<std::uint64_t>& polarity =
         cached_polarity(bank, physical_row, rs);
-    const auto append_bits = [](std::uint64_t mask, std::uint32_t base,
-                                std::vector<std::uint32_t>& out) {
-      for (; mask != 0; mask &= mask - 1) {
-        out.push_back(base +
-                      static_cast<std::uint32_t>(std::countr_zero(mask)));
-      }
-    };
     constexpr std::uint32_t kChunkWords = 16;
     std::uint64_t hammer_masks[kChunkWords] = {};
     for (std::uint32_t w0 = 0; w0 < kColumnsPerRow; w0 += kChunkWords) {
       if (do_hammer) {
         physics_.cell_uniform_masks(bank, physical_row, w0, kChunkWords,
                                     CellPhysics::CellDraw::kHammer,
-                                    hammer_threshold, hammer_masks);
+                                    1.0 - p_hammer, hammer_masks);
       }
       for (std::uint32_t w = w0; w < w0 + kChunkWords; ++w) {
-        std::uint64_t stored = 0;
-        for (std::uint32_t b = 0; b < 8; ++b) {
-          stored |= static_cast<std::uint64_t>(rs.data[w * 8 + b]) << (8 * b);
-        }
-        const std::uint64_t eligible = ~(stored ^ polarity[w]);
+        const std::uint64_t eligible = ~(stored_word(w) ^ polarity[w]);
         const std::uint64_t hammer = hammer_masks[w - w0] & eligible;
         append_bits(hammer, w * 64, hammer_bits);
         const std::uint64_t candidates =
@@ -292,7 +325,7 @@ void Module::apply_flips(std::uint32_t bank, std::uint32_t physical_row,
           std::uint64_t retention = 0;
           physics_.cell_uniform_masks(bank, physical_row, w, 1,
                                       CellPhysics::CellDraw::kRetention,
-                                      retention_threshold, &retention);
+                                      1.0 - p_retention, &retention);
           append_bits(candidates & retention, w * 64, retention_bits);
         }
       }

@@ -41,6 +41,16 @@ struct ModuleStats {
   friend bool operator==(const ModuleStats&, const ModuleStats&) = default;
 };
 
+/// How a module's senses were served: from a row's flip index or by the
+/// full-row scan (docs/MODEL.md "Sensing hot path & flip index"). Apart
+/// from ModuleStats, whose equality the fast and reference paths share.
+struct FlipIndexStats {
+  std::uint64_t builds = 0;          ///< flip indexes built or rebuilt
+  std::uint64_t index_senses = 0;    ///< senses answered from flip indexes
+  std::uint64_t full_row_scans = 0;  ///< senses that scanned the whole row
+  std::uint64_t index_bytes = 0;     ///< heap bytes the cached indexes hold
+};
+
 class Module {
   struct RowState;
 
@@ -48,7 +58,7 @@ class Module {
   /// Behavioral switches that do not belong to the device profile.
   struct Options {
     /// Evaluate flips with the reference 65536-bit row scan instead of the
-    /// sorted flip-index fast path. Both are bit-exact by construction (the
+    /// flip-index fast path. Both are bit-exact by construction (the
     /// determinism suite asserts it); the reference scan exists so tests
     /// and benches can measure and cross-check the fast path.
     bool reference_sensing = false;
@@ -64,6 +74,11 @@ class Module {
   [[nodiscard]] const CellPhysics& physics() const noexcept { return physics_; }
   [[nodiscard]] const RowMapping& mapping() const noexcept { return mapping_; }
   [[nodiscard]] const ModuleStats& stats() const noexcept { return stats_; }
+  /// Module-lifetime, like the per-row physics store the indexes live in:
+  /// reset_device_state() keeps them.
+  [[nodiscard]] const FlipIndexStats& flip_index_stats() const noexcept {
+    return flip_index_stats_;
+  }
 
   // --- Power rail and environment -------------------------------------------
   /// Drive the external VPP rail. The device accepts any voltage; whether it
@@ -256,9 +271,7 @@ class Module {
     bool has_weak = false;
     std::vector<CellPhysics::WeakCell> weak;  ///< sorted by bit index
     std::vector<std::uint64_t> polarity;      ///< charged_words, empty=unbuilt
-    bool has_hammer_index = false;
-    CellPhysics::RowFlipIndex hammer_index;
-    bool has_retention_index = false;
+    CellPhysics::RowFlipIndex hammer_index;     ///< unbuilt until first use
     CellPhysics::RowFlipIndex retention_index;
     /// Deterministic power-up byte image of the row (hash of coordinates);
     /// empty until the row is first initialized. Re-initializing a row after
@@ -319,10 +332,10 @@ class Module {
       std::uint32_t bank, std::uint32_t physical_row, RowState& rs);
   [[nodiscard]] const std::vector<std::uint64_t>& cached_polarity(
       std::uint32_t bank, std::uint32_t physical_row, RowState& rs);
-  /// The flip index for a draw kind, built on first use when `p` is small
-  /// enough to plausibly be covered; returns nullptr (caller falls back to
-  /// the full scan) when `p` needs more of the tail than the index keeps.
-  [[nodiscard]] const CellPhysics::RowFlipIndex* usable_flip_index(
+  /// The row's flip index for a draw kind, rebuilt deeper when it does not
+  /// cover `p` (p <= 1/16); nullptr for a row no index can serve, which
+  /// the caller scans instead.
+  [[nodiscard]] const CellPhysics::RowFlipIndex* covering_flip_index(
       std::uint32_t bank, std::uint32_t physical_row, RowState& rs,
       CellPhysics::CellDraw what, double p);
 
@@ -339,6 +352,7 @@ class Module {
   std::vector<std::unordered_map<std::uint32_t, RowPhysicsCache>>
       physics_store_;
   ModuleStats stats_;
+  FlipIndexStats flip_index_stats_;
   double vpp_v_ = common::kNominalVppV;
   double temp_c_ = common::kHammerTestTempC;
   std::uint32_t refresh_cursor_ = 0;

@@ -364,6 +364,27 @@ bool CellPhysics::charged_value(std::uint32_t bank, std::uint32_t row,
           1u) != 0;
 }
 
+std::uint64_t CellPhysics::row_hash_prefix(std::uint32_t bank,
+                                           std::uint32_t row) const noexcept {
+  return cell_hash_prefix(profile_.seed, bank, row);
+}
+
+std::uint64_t CellPhysics::charged_bits(std::uint64_t row_prefix,
+                                        std::uint32_t word,
+                                        std::uint64_t mask) noexcept {
+  constexpr std::uint64_t kTag =
+      static_cast<std::uint64_t>(CellDraw::kPolarity);
+  std::uint64_t charged = 0;
+  for (; mask != 0; mask &= mask - 1) {
+    const int i = std::countr_zero(mask);
+    const std::uint64_t h = common::hash_accumulate(
+        common::hash_accumulate(row_prefix, std::uint64_t{word} * 64 + i),
+        kTag);
+    charged |= (h & 1u) << i;
+  }
+  return charged;
+}
+
 std::vector<std::uint64_t> CellPhysics::charged_words(std::uint32_t bank,
                                                       std::uint32_t row) const {
   std::vector<std::uint64_t> words(kColumnsPerRow, 0);
@@ -383,74 +404,89 @@ std::vector<std::uint64_t> CellPhysics::charged_words(std::uint32_t bank,
   return words;
 }
 
-CellPhysics::RowFlipIndex CellPhysics::build_flip_index(
-    std::uint32_t bank, std::uint32_t row, CellDraw what,
-    std::uint32_t top_k) const {
-  using Entry = RowFlipIndex::Entry;
-  RowFlipIndex index;
-  if (top_k == 0) return index;
-  // The index order: u descending, ties (vanishingly rare between 53-bit
-  // dyadics) by ascending bit. It is a strict total order, so the running
-  // top-K heap below keeps exactly the top-K whatever order cells arrive in.
-  const auto ranks_above = [](const Entry& a, const Entry& b) {
-    return a.u > b.u || (a.u == b.u && a.bit < b.bit);
-  };
-  auto& heap = index.cells;  // front: the lowest-ranked entry kept
-  heap.reserve(top_k + 1);
-  const auto offer = [&](const Entry& e) {
-    if (heap.size() < top_k) {
-      heap.push_back(e);
-      std::push_heap(heap.begin(), heap.end(), ranks_above);
-    } else if (ranks_above(e, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), ranks_above);
-      heap.back() = e;
-      std::push_heap(heap.begin(), heap.end(), ranks_above);
-    }
-  };
-  const auto finish = [&] {
-    std::sort(heap.begin(), heap.end(), ranks_above);
-    index.floor_u = heap.back().u;
-  };
-  const std::uint64_t prefix = cell_hash_prefix(profile_.seed, bank, row);
-  const auto tag = static_cast<std::uint64_t>(what);
+bool CellPhysics::RowFlipIndex::covers(double p) const noexcept {
+  const std::optional<std::uint64_t> t = common::min_hash_above(1.0 - p);
+  return !t.has_value() || *t >= min_hash_;
+}
 
-  // Prefilter: the K-th largest of N uniforms concentrates at 1 - K/N, so
-  // the cells above 1 - 4K/N (~4K of them, found by one mask walk) hold the
-  // whole top-K whenever at least K pass -- every other cell ranks below
-  // all of them. Only those get an exact uniform and a heap offer; the
-  // full-row pass remains for the rare row where fewer than K pass.
-  const double prefilter = 1.0 - 4.0 * top_k / kBitsPerRow;
-  if (prefilter > 0.0) {
-    constexpr std::uint32_t kChunkWords = 16;
-    std::uint64_t masks[kChunkWords];
-    for (std::uint32_t w0 = 0; w0 < kColumnsPerRow; w0 += kChunkWords) {
-      cell_uniform_masks(bank, row, w0, kChunkWords, what, prefilter, masks);
-      for (std::uint32_t w = 0; w < kChunkWords; ++w) {
-        for (std::uint64_t m = masks[w]; m != 0; m &= m - 1) {
-          const std::uint32_t bit =
-              (w0 + w) * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
-          offer({to_unit_double(common::hash_accumulate(
-                     common::hash_accumulate(prefix, bit), tag)),
-                 bit});
-        }
+std::uint32_t CellPhysics::RowFlipIndex::mark(double p, RowBits& out) const {
+  const std::optional<std::uint64_t> t = common::min_hash_above(1.0 - p);
+  if (!t.has_value()) return 0;
+  // Buckets before the threshold's hold only hashes above it; buckets
+  // after it only hashes below it.
+  const std::uint64_t boundary = ~*t >> shift_;
+  const std::uint32_t whole = offsets_[boundary];
+  for (std::uint32_t i = 0; i < whole; ++i) out.set(bits_[i]);
+  std::uint32_t marked = whole;
+  for (std::uint32_t i = whole; i < offsets_[boundary + 1]; ++i) {
+    if (common::hash_accumulate(common::hash_accumulate(prefix_, bits_[i]),
+                                tag_) >= *t) {
+      out.set(bits_[i]);
+      ++marked;
+    }
+  }
+  return marked;
+}
+
+CellPhysics::RowFlipIndex CellPhysics::build_flip_index(std::uint32_t bank,
+                                                        std::uint32_t row,
+                                                        CellDraw what,
+                                                        double depth) const {
+  RowFlipIndex index;
+  index.prefix_ = cell_hash_prefix(profile_.seed, bank, row);
+  index.tag_ = static_cast<std::uint64_t>(what);
+  const std::optional<std::uint64_t> min_hash =
+      common::min_hash_above(1.0 - depth);
+  if (!min_hash.has_value()) return index;
+
+  // The kept cells, in ascending bit order: one mask walk finds them, and
+  // each gets its exact hash for the bucket sort.
+  std::vector<std::uint64_t> hashes;
+  std::vector<std::uint16_t> bits;
+  constexpr std::uint32_t kChunkWords = 16;
+  std::uint64_t masks[kChunkWords];
+  for (std::uint32_t w0 = 0; w0 < kColumnsPerRow; w0 += kChunkWords) {
+    common::simd::hash_mask_walk(index.prefix_, index.tag_,
+                                 std::uint64_t{w0} * 64, kChunkWords,
+                                 *min_hash, masks);
+    for (std::uint32_t w = 0; w < kChunkWords; ++w) {
+      for (std::uint64_t m = masks[w]; m != 0; m &= m - 1) {
+        const std::uint32_t bit =
+            (w0 + w) * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
+        hashes.push_back(common::hash_accumulate(
+            common::hash_accumulate(index.prefix_, bit), index.tag_));
+        bits.push_back(static_cast<std::uint16_t>(bit));
       }
     }
-    if (heap.size() == top_k) {
-      finish();
-      return index;
-    }
-    heap.clear();
   }
+  // 16-bit offsets: a row whose every cell passes gets no index (the
+  // caller scans instead); at the depths a caller asks that never happens.
+  if (bits.size() > 0xFFFF) return index;
 
-  constexpr std::uint32_t kBatch = 1024;
-  std::uint64_t hashes[kBatch];
-  for (std::uint32_t base = 0; base < kBitsPerRow; base += kBatch) {
-    common::simd::hash_index_walk(prefix, tag, base, kBatch, hashes);
-    for (std::uint32_t i = 0; i < kBatch; ++i) {
-      offer({to_unit_double(hashes[i]), base + i});
+  // A bucket spans 2^52 hashes, 16 cells on average at any depth; a row
+  // with a crowded bucket halves the span until none holds more than
+  // kMaxBucket. The floor only bounds the loop: a span of 2^40 hashes
+  // holds 0.004 cells on average.
+  std::vector<std::uint16_t> counts;
+  for (std::uint32_t shift = 52;; --shift) {
+    counts.assign((~*min_hash >> shift) + 2, 0);
+    for (const std::uint64_t h : hashes) ++counts[(~h >> shift) + 1];
+    if (shift == 40 || *std::max_element(counts.begin(), counts.end()) <=
+                           RowFlipIndex::kMaxBucket) {
+      index.shift_ = shift;
+      break;
     }
   }
-  finish();
+  // counts[b + 1] holds bucket b's size; the running sum makes counts[b]
+  // its start, and placement advances counts[b + 1] to the next start.
+  for (std::size_t b = 1; b < counts.size(); ++b) counts[b] += counts[b - 1];
+  index.offsets_ = counts;
+  index.bits_.resize(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    index.bits_[counts[~hashes[i] >> index.shift_]++] = bits[i];
+  }
+  index.min_hash_ = *min_hash;
+  index.depth_ = depth;
   return index;
 }
 

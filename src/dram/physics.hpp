@@ -18,6 +18,8 @@
 // coordinates), so flips are at consistently predictable locations.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -203,39 +205,76 @@ class CellPhysics {
   /// them in its RowState; see docs/MODEL.md "Sensing hot path").
   [[nodiscard]] std::vector<std::uint64_t> charged_words(
       std::uint32_t bank, std::uint32_t row) const;
+  /// The (seed, bank, row) fold every per-cell hash of the row starts from.
+  [[nodiscard]] std::uint64_t row_hash_prefix(std::uint32_t bank,
+                                              std::uint32_t row) const noexcept;
+  /// charged_value for a few cells of one 64-bit word, two hash rounds per
+  /// cell instead of five: bit i of the result is charged_value(bank, row,
+  /// 64 * word + i) for each bit i of `mask`, and 0 elsewhere. `row_prefix`
+  /// is row_hash_prefix(bank, row).
+  [[nodiscard]] static std::uint64_t charged_bits(std::uint64_t row_prefix,
+                                                  std::uint32_t word,
+                                                  std::uint64_t mask) noexcept;
 
-  /// Default depth of a row flip index (see build_flip_index).
-  static constexpr std::uint32_t kFlipIndexTopK = 512;
-  /// Conservative per-cell probability below which a freshly built
-  /// default-depth index is expected to cover the draw: the K-th largest of
-  /// N uniforms concentrates at 1 - K/N, so half of K leaves ample margin.
-  /// Callers check RowFlipIndex::covers() for the exact per-row answer.
-  static constexpr double kFlipIndexSafeP =
-      static_cast<double>(kFlipIndexTopK) / (2.0 * kBitsPerRow);
+  /// A set of one row's bit numbers, plus one summary bit per 64-bit word
+  /// that holds any, so a walk over a sparse set skips the empty words.
+  struct RowBits {
+    std::array<std::uint64_t, kColumnsPerRow> words{};
+    std::array<std::uint64_t, kColumnsPerRow / 64> nonempty{};
 
-  /// Sorted weak-tail index of one row's per-cell uniforms for one draw
-  /// kind. Because cell_uniform is a pure function of its coordinates, the
-  /// set {bit : uniform > 1 - p} -- exactly the cells a probability-p flip
-  /// evaluation selects -- is a prefix of the row's uniforms sorted
-  /// descending. The index retains the top-K of them, ranked by (u
-  /// descending, bit ascending); any p with 1 - p >= floor_u is answered
-  /// in O(actual flips) instead of a 65536-bit scan.
-  struct RowFlipIndex {
-    struct Entry {
-      double u = 0.0;          ///< the cell's uniform draw
-      std::uint32_t bit = 0;   ///< bit index within the row
-    };
-    std::vector<Entry> cells;  ///< descending by u
-    double floor_u = 0.0;      ///< smallest uniform retained
-
-    /// True when the prefix {u > 1 - p} is fully contained in `cells`.
-    [[nodiscard]] bool covers(double p) const noexcept {
-      return !cells.empty() && (1.0 - p) >= floor_u;
+    void set(std::uint32_t bit) noexcept {
+      words[bit / 64] |= std::uint64_t{1} << (bit % 64);
+      nonempty[bit / 4096] |= std::uint64_t{1} << (bit / 64 % 64);
     }
   };
-  [[nodiscard]] RowFlipIndex build_flip_index(
-      std::uint32_t bank, std::uint32_t row, CellDraw what,
-      std::uint32_t top_k = kFlipIndexTopK) const;
+
+  /// Exact threshold index of one row's per-cell draws for one draw kind.
+  /// A cell flips at probability p iff its draw hash is >= min_hash_above(
+  /// 1 - p), so the cells flipping at any p <= depth() are among those with
+  /// hash >= min_hash_above(1 - depth()). The index keeps every one of
+  /// those as a 2-byte bit number, counting-sorted into buckets of
+  /// ~hash >> shift (largest hashes first, at most kMaxBucket per bucket).
+  /// A query takes every bucket wholly above its threshold and re-hashes
+  /// only the bucket the threshold falls in: O(flips + kMaxBucket) instead
+  /// of a 65,536-cell scan. A default-constructed index covers nothing.
+  class RowFlipIndex {
+   public:
+    /// Most cells one bucket holds: the re-hash bound of a query.
+    static constexpr std::uint32_t kMaxBucket = 64;
+
+    /// The probability the index was built for (0 when unbuilt).
+    [[nodiscard]] double depth() const noexcept { return depth_; }
+    /// Whether the index keeps every cell that flips at probability p: the
+    /// exact test min_hash_above(1 - p) >= min_hash.
+    [[nodiscard]] bool covers(double p) const noexcept;
+    /// Adds to `out` every cell whose hash is >= min_hash_above(1 - p), and
+    /// returns how many it added. Requires covers(p).
+    std::uint32_t mark(double p, RowBits& out) const;
+    /// Cells kept.
+    [[nodiscard]] std::size_t size() const noexcept { return bits_.size(); }
+    /// Heap bytes held: 2 per kept cell and 2 per bucket boundary.
+    [[nodiscard]] std::size_t bytes() const noexcept {
+      return 2 * (bits_.capacity() + offsets_.capacity());
+    }
+
+   private:
+    friend class CellPhysics;
+    std::uint64_t prefix_ = 0;   ///< hash prefix of (seed, bank, row)
+    std::uint64_t tag_ = 0;      ///< the CellDraw
+    /// Smallest hash kept. No threshold reaches ~0, so unbuilt covers none.
+    std::uint64_t min_hash_ = ~std::uint64_t{0};
+    double depth_ = 0.0;
+    std::uint32_t shift_ = 0;
+    /// Bucket b (hashes with ~hash >> shift_ == b) is
+    /// bits_[offsets_[b], offsets_[b + 1]); within it, ascending bit.
+    std::vector<std::uint16_t> offsets_;
+    std::vector<std::uint16_t> bits_;
+  };
+  /// The index of (bank, row, what) at `depth`, a probability in (0, 1]:
+  /// one mask walk over the row plus a re-hash of each cell it keeps.
+  [[nodiscard]] RowFlipIndex build_flip_index(std::uint32_t bank,
+                                              std::uint32_t row, CellDraw what,
+                                              double depth) const;
 
   /// Retention-weak cells of a row (Obsv. 14/15): bit index plus the cell's
   /// retention time at VPPmin, placed in distinct 64-bit words.

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "chips/module_db.hpp"
+
 namespace vppstudy::server {
 
 using common::Error;
@@ -246,6 +248,25 @@ common::Result<InjectRequest> parse_inject_request(const JsonValue& body) {
   request.trace_cap = body.uint_or("trace_cap", request.trace_cap);
   VPP_RETURN_IF_ERROR(validate(request));
   return request;
+}
+
+common::Result<softmc::TraceDump> decode_trace_dump(
+    std::string_view dump_json) {
+  VPP_ASSIGN_OR_RETURN(const JsonValue doc, common::parse_json(dump_json));
+  VPP_ASSIGN_OR_RETURN(softmc::TraceDump dump, softmc::parse_trace_dump(doc));
+  if (!chips::profile_by_name(dump.module)) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "dump names unknown module '" + dump.module + "'"};
+  }
+  return dump;
+}
+
+common::Result<softmc::TraceDump> parse_replay_request(const JsonValue& body) {
+  const JsonValue* dump = body.find("dump");
+  if (dump == nullptr || !dump->is_string()) {
+    return Error{ErrorCode::kInvalidArgument, "replay needs a dump string"};
+  }
+  return decode_trace_dump(dump->as_string());
 }
 
 // --- Campaign distribution ---------------------------------------------------

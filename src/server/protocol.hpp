@@ -27,6 +27,7 @@
 #include "common/socket.hpp"
 #include "core/campaign.hpp"
 #include "core/study.hpp"
+#include "softmc/trace_dump.hpp"
 
 namespace vppstudy::server {
 
@@ -114,6 +115,15 @@ struct InjectRequest {
 [[nodiscard]] common::Result<SweepRequest> parse_sweep_request(
     const common::JsonValue& body);
 [[nodiscard]] common::Result<InjectRequest> parse_inject_request(
+    const common::JsonValue& body);
+/// The text of a trace dump, decoded and checked as a replay needs it:
+/// kParseError for malformed JSON or an unreadable dump, kInvalidArgument
+/// when it names no known module.
+[[nodiscard]] common::Result<softmc::TraceDump> decode_trace_dump(
+    std::string_view dump_json);
+/// A replay request's "dump" string through decode_trace_dump
+/// (kInvalidArgument when the field is missing or not a string).
+[[nodiscard]] common::Result<softmc::TraceDump> parse_replay_request(
     const common::JsonValue& body);
 
 // --- Campaign distribution ---------------------------------------------------

@@ -179,7 +179,8 @@ common::Result<Work> inject(Service& service, const common::JsonValue& doc) {
 }
 
 common::Result<Work> replay(Service& service, const common::JsonValue& doc) {
-  return Work([&service, dump = doc.string_or("dump", "")](
+  VPP_ASSIGN_OR_RETURN(softmc::TraceDump dump, parse_replay_request(doc));
+  return Work([&service, dump = std::move(dump)](
                   const common::CancelToken& token) {
     return service.replay(dump, token);
   });

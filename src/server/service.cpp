@@ -318,24 +318,20 @@ common::Result<Service::Outcome> Service::inject(const InjectRequest& request,
   return out;
 }
 
-common::Result<Service::Outcome> Service::replay(const std::string& dump_json,
+common::Result<Service::Outcome> Service::replay(const softmc::TraceDump& dump,
                                                  const CancelToken& cancel) {
   if (cancel.cancelled()) {
     return Error{ErrorCode::kCancelled, "replay cancelled before start"};
   }
-  auto doc = common::parse_json(dump_json);
-  if (!doc) return std::move(doc).error();
-  auto dump = softmc::parse_trace_dump(*doc);
-  if (!dump) return std::move(dump).error();
-  const auto profile = chips::profile_by_name(dump->module);
+  const auto profile = chips::profile_by_name(dump.module);
   if (!profile) {
     return Error{ErrorCode::kInvalidArgument,
-                 "dump names unknown module '" + dump->module + "'"};
+                 "dump names unknown module '" + dump.module + "'"};
   }
-  const std::size_t entries = dump->entries.size();
-  const std::uint64_t total_recorded = dump->total_recorded;
-  const double vpp_v = dump->vpp_v;
-  softmc::TraceReplayer replayer(std::move(*dump));
+  const std::size_t entries = dump.entries.size();
+  const std::uint64_t total_recorded = dump.total_recorded;
+  const double vpp_v = dump.vpp_v;
+  softmc::TraceReplayer replayer(dump);
   auto report = replayer.replay_on_profile(*profile);
   if (!report) return std::move(report).error();
 

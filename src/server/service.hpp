@@ -43,6 +43,7 @@
 #include "server/protocol.hpp"
 #include "server/result_cache.hpp"
 #include "softmc/session.hpp"
+#include "softmc/trace_dump.hpp"
 
 namespace vppstudy::server {
 
@@ -102,7 +103,8 @@ class Service {
                                               const common::CancelToken& cancel);
   [[nodiscard]] common::Result<Outcome> inject(const InjectRequest& request,
                                                const common::CancelToken& cancel);
-  [[nodiscard]] common::Result<Outcome> replay(const std::string& dump_json,
+  /// `dump` as decode_trace_dump returns it.
+  [[nodiscard]] common::Result<Outcome> replay(const softmc::TraceDump& dump,
                                                const common::CancelToken& cancel);
 
   [[nodiscard]] ResultCache::Stats cache_stats() const { return cache_.stats(); }

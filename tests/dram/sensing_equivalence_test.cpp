@@ -2,8 +2,9 @@
 // the reference full-row scan (Module::Options::reference_sensing) must be
 // bit-exact -- identical stored bytes, identical ModuleStats, identical
 // exported CSV series -- across hammer, retention, and tRCD scenarios, at
-// several VPP levels, including the high-probability regime where the fast
-// path falls back to the full scan.
+// several VPP levels, through every flip-index depth (1/64 to 1/16), and
+// past the deepest, where the fast path falls back to the full scan. The
+// flip-index counters show which path each case took.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -100,15 +101,96 @@ TEST_P(SensingEquivalence, FastAndReferenceAreBitExact) {
   expect_identical_stats(fast.stats(), reference.stats());
 }
 
-// VPP levels from nominal down to VPPmin (1.6V for B3); the 2M-activation case
-// pushes the flip probability past the index tail so the fast path takes
-// the full-scan fallback (equivalence must hold there too).
+// VPP levels from nominal down to VPPmin (1.6V for B3). 2M and 4M
+// activations put the flip probability in the deep band (1/128 to 1/16);
+// 8M pushes it past the deepest index, so the fast path takes the
+// full-scan fallback (equivalence must hold there too).
 INSTANTIATE_TEST_SUITE_P(
     VppLevels, SensingEquivalence,
     ::testing::Values(std::pair<double, std::uint64_t>{2.5, 120000},
                       std::pair<double, std::uint64_t>{1.8, 120000},
                       std::pair<double, std::uint64_t>{1.6, 120000},
-                      std::pair<double, std::uint64_t>{2.5, 2000000}));
+                      std::pair<double, std::uint64_t>{2.5, 2000000},
+                      std::pair<double, std::uint64_t>{1.6, 4000000},
+                      std::pair<double, std::uint64_t>{2.5, 8000000}));
+
+/// One row hammered through a ladder of counts, sensed after each rung:
+/// bytes and stats equal after every rung.
+TEST(SensingEquivalence, HammerLadderThroughTheDeepBand) {
+  Module fast(small_profile());
+  Module reference(small_profile(), reference_options());
+  double t = 100.0;
+  for (Module* m : {&fast, &reference}) {
+    m->set_trr_enabled(false);
+    (void)m->debug_row_snapshot(0, 500, t);
+  }
+  const auto neighbors = fast.mapping().physical_neighbors(500);
+  // p from about 1e-3 to 1/30, then about 1/6, past the deepest index.
+  for (const std::uint64_t hc :
+       {300000u, 600000u, 1000000u, 1500000u, 2000000u, 3000000u, 8000000u}) {
+    double end = t;
+    for (Module* m : {&fast, &reference}) {
+      end = t;
+      ASSERT_TRUE(m->hammer_pair(0, neighbors.below, neighbors.above, hc,
+                                 46.0, end)
+                      .ok());
+      ASSERT_TRUE(m->activate(0, 500, end).ok());
+      ASSERT_TRUE(m->precharge(0, end + 35.0).ok());
+    }
+    t = end + 50.0;
+    EXPECT_EQ(fast.debug_row_snapshot(0, 500, t),
+              reference.debug_row_snapshot(0, 500, t))
+        << "hc " << hc;
+    expect_identical_stats(fast.stats(), reference.stats());
+  }
+  EXPECT_GT(fast.stats().hammer_bit_flips, 0u);
+  const FlipIndexStats& index = fast.flip_index_stats();
+  EXPECT_GE(index.builds, 2u);  // grew past the first depth
+  EXPECT_GE(index.index_senses, 6u);
+  EXPECT_GE(index.full_row_scans, 1u);  // the last rung
+  EXPECT_EQ(reference.flip_index_stats().index_senses, 0u);
+  EXPECT_EQ(reference.flip_index_stats().builds, 0u);
+}
+
+/// Alg. 3's retention windows, 16 ms to 16 s, on one row at 80C: each
+/// window's p is larger than the last, so the row's index grows through
+/// its depths, and only the 16 s window is past the deepest.
+TEST(SensingEquivalence, RetentionWindowLadderFrom16msTo16s) {
+  Module fast(small_profile());
+  Module reference(small_profile(), reference_options());
+  double t = 100.0;
+  for (Module* m : {&fast, &reference}) {
+    m->set_trr_enabled(false);
+    m->set_temperature(80.0);
+    (void)m->debug_row_snapshot(0, 500, t);
+  }
+  FlipIndexStats within_cap;
+  for (double ms = 16; ms <= 16384; ms *= 2) {
+    t += ms * 1e6;
+    for (Module* m : {&fast, &reference}) {
+      ASSERT_TRUE(m->activate(0, 500, t).ok());
+      ASSERT_TRUE(m->precharge(0, t + 35.0).ok());
+    }
+    t += 50.0;
+    EXPECT_EQ(fast.debug_row_snapshot(0, 500, t),
+              reference.debug_row_snapshot(0, 500, t))
+        << ms << " ms";
+    expect_identical_stats(fast.stats(), reference.stats());
+    if (ms == 8192) within_cap = fast.flip_index_stats();
+  }
+  EXPECT_GT(fast.stats().retention_bit_flips, 0u);
+  // Through 8 s every p is within the deepest index: after the first
+  // build, the row is never scanned, only rebuilt deeper ...
+  EXPECT_EQ(within_cap.full_row_scans, 0u);
+  EXPECT_GE(within_cap.builds, 2u);
+  EXPECT_LE(within_cap.builds, 3u);
+  EXPECT_GE(within_cap.index_senses, 5u);
+  EXPECT_GT(within_cap.index_bytes, 0u);
+  // ... and the 16 s window takes the full-row fallback.
+  EXPECT_EQ(fast.flip_index_stats().full_row_scans, 1u);
+  EXPECT_EQ(fast.flip_index_stats().builds, within_cap.builds);
+  EXPECT_EQ(reference.flip_index_stats().index_senses, 0u);
+}
 
 TEST(SensingEquivalence, FlipsAccumulateIdenticallyAcrossRepeatedHammer) {
   // Repeated sub-threshold-to-threshold hammering: every sense reuses the

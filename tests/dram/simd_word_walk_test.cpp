@@ -1,7 +1,7 @@
 // Tier-1 checks for the runtime-dispatched SIMD layer (common/simd.hpp): the
 // AVX-512, AVX2 and portable scalar word-walk kernels must agree bit-for-bit
 // at every layer that consumes them -- raw hash walks, per-cell threshold
-// masks, the charged-polarity words, the sorted flip index, and finally
+// masks, the charged-polarity words, the threshold flip index, and finally
 // whole-device runs (identical stored bytes and ModuleStats across VPP
 // levels, with the reference full-row scan both off and on). A case that
 // needs a kernel this CPU cannot run skips; the definitional checks still
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -183,17 +184,23 @@ TEST_F(SimdWordWalk, PhysicsDerivedTablesMatchAcrossImpls) {
   const CellPhysics physics(small_profile());
   struct Tables {
     std::vector<std::uint64_t> words;
-    std::vector<CellPhysics::RowFlipIndex> indexes;
+    /// What each flip index marks at a ladder of p, per depth and kind.
+    std::vector<std::array<std::uint64_t, kColumnsPerRow>> marked;
   };
-  // The default depth takes the prefiltered path; 16384 (= N/4) leaves no
-  // room for a prefilter and always runs the full-row heap.
+  // The index build runs the mask walk at the depth's threshold; the
+  // first and the deepest depth a Module asks for.
   const auto tables = [&] {
     Tables t;
     t.words = physics.charged_words(0, 321);
     for (const auto what :
          {CellPhysics::CellDraw::kHammer, CellPhysics::CellDraw::kRetention}) {
-      for (const std::uint32_t top_k : {CellPhysics::kFlipIndexTopK, 16384u}) {
-        t.indexes.push_back(physics.build_flip_index(0, 321, what, top_k));
+      for (const double depth : {1.0 / 64, 1.0 / 16}) {
+        const auto index = physics.build_flip_index(0, 321, what, depth);
+        for (const double p : {depth, depth / 3, 1e-4}) {
+          CellPhysics::RowBits bits;
+          (void)index.mark(p, bits);
+          t.marked.push_back(bits.words);
+        }
       }
     }
     return t;
@@ -204,16 +211,10 @@ TEST_F(SimdWordWalk, PhysicsDerivedTablesMatchAcrossImpls) {
     if (!common::simd::force_impl(impl)) continue;
     const Tables simd = tables();
     EXPECT_EQ(scalar.words, simd.words) << common::simd::active_impl_name();
-    ASSERT_EQ(scalar.indexes.size(), simd.indexes.size());
-    for (std::size_t k = 0; k < scalar.indexes.size(); ++k) {
-      const auto& a = scalar.indexes[k];
-      const auto& b = simd.indexes[k];
-      ASSERT_EQ(a.cells.size(), b.cells.size()) << k;
-      EXPECT_EQ(a.floor_u, b.floor_u) << k;
-      for (std::size_t i = 0; i < a.cells.size(); ++i) {
-        EXPECT_EQ(a.cells[i].bit, b.cells[i].bit) << k << " " << i;
-        EXPECT_EQ(a.cells[i].u, b.cells[i].u) << k << " " << i;
-      }
+    ASSERT_EQ(scalar.marked.size(), simd.marked.size());
+    for (std::size_t k = 0; k < scalar.marked.size(); ++k) {
+      EXPECT_EQ(scalar.marked[k], simd.marked[k])
+          << common::simd::active_impl_name() << " " << k;
     }
   }
 }

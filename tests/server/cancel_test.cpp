@@ -55,7 +55,7 @@ TEST(ServerCancel, PreCancelledTokenShortCircuitsInjectAndReplay) {
   ASSERT_FALSE(inject.has_value());
   EXPECT_EQ(inject.error().code, ErrorCode::kCancelled);
 
-  auto replay = service.replay("{}", token);
+  auto replay = service.replay(softmc::TraceDump{}, token);
   ASSERT_FALSE(replay.has_value());
   EXPECT_EQ(replay.error().code, ErrorCode::kCancelled);
 }

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chips/module_db.hpp"
@@ -188,6 +189,34 @@ TEST(ServerProtocol, InjectRequestNeedsModules) {
   EXPECT_EQ(parsed.error().code, ErrorCode::kInvalidArgument);
 }
 
+TEST(ServerProtocol, ReplayRequestValidationIsTyped) {
+  softmc::TraceDump dump;
+  dump.module = "B3";
+  const std::string good = softmc::trace_dump_json(dump).str();
+  dump.module = "Q7";
+  const std::string unknown = softmc::trace_dump_json(dump).str();
+  const std::pair<std::string, ErrorCode> cases[] = {
+      {R"({"id":1,"type":"replay"})", ErrorCode::kInvalidArgument},
+      {R"({"id":1,"type":"replay","dump":7})", ErrorCode::kInvalidArgument},
+      {encode_replay_request(1, "{"), ErrorCode::kParseError},
+      {encode_replay_request(1, "{}"), ErrorCode::kParseError},
+      {encode_replay_request(1, unknown), ErrorCode::kInvalidArgument},
+  };
+  for (const auto& [frame, code] : cases) {
+    SCOPED_TRACE(frame);
+    auto doc = common::parse_json(frame);
+    ASSERT_TRUE(doc.has_value());
+    auto parsed = parse_replay_request(*doc);
+    ASSERT_FALSE(parsed.has_value());
+    EXPECT_EQ(parsed.error().code, code);
+  }
+  auto doc = common::parse_json(encode_replay_request(1, good));
+  ASSERT_TRUE(doc.has_value());
+  auto parsed = parse_replay_request(*doc);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  EXPECT_EQ(parsed->module, "B3");
+}
+
 TEST(ServerProtocol, LocalAndRemotePathsRejectZeroRowsAlike) {
   // vppctl's in-process inject builds the campaign through
   // inject_campaign(), which calls validate(); with --connect the daemon's
@@ -298,7 +327,7 @@ TEST(ServerProtocol, ReplayDocumentMatchesADirectReplayFieldByField) {
     auto report = softmc::TraceReplayer(*dump).replay_on_profile(*profile);
     ASSERT_TRUE(report.has_value()) << report.error().to_string();
 
-    auto outcome = service.replay(text, common::CancelToken());
+    auto outcome = service.replay(*dump, common::CancelToken());
     ASSERT_TRUE(outcome.has_value()) << outcome.error().to_string();
     auto doc = common::parse_json(outcome->result_json);
     ASSERT_TRUE(doc.has_value());
@@ -325,7 +354,9 @@ TEST(ServerProtocol, ReplayOverTheWireIsByteIdenticalToInProcess) {
   const std::string text = quarantine_dump_text("seed=1;spurious@2000");
   Service::Config config;
   config.jobs = 1;
-  auto local = Service(config).replay(text, common::CancelToken());
+  auto dump = decode_trace_dump(text);
+  ASSERT_TRUE(dump.has_value()) << dump.error().to_string();
+  auto local = Service(config).replay(*dump, common::CancelToken());
   ASSERT_TRUE(local.has_value()) << local.error().to_string();
   auto local_doc = common::parse_json(local->result_json);
   ASSERT_TRUE(local_doc.has_value());

@@ -329,18 +329,23 @@ TEST(ServerStress, MalformedQueuedRequestsAreRefusedBeforeAdmission) {
   conn.send_payload(encode_sweep_request(1, holder));
   conn.send_payload(encode_sweep_request(2, bad_sweep));
   conn.send_payload(encode_inject_request(3, bad_inject));
+  // A replay with no dump, and one whose dump is no trace dump.
+  conn.send_payload(R"({"id":5,"type":"replay"})");
+  conn.send_payload(encode_replay_request(6, "{}"));
   // A well-formed sweep behind them shows the quota was exhausted all along:
   // the reader handles one connection's frames in order.
   conn.send_payload(encode_sweep_request(4, holder));
 
   std::map<std::uint64_t, std::string> codes;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 5; ++i) {
     auto response = conn.recv_response();
     ASSERT_TRUE(response.has_value());
     codes[response->uint_or("id", 0)] = testing::response_error_code(*response);
   }
   EXPECT_EQ(codes[2], "kInvalidArgument");
   EXPECT_EQ(codes[3], "kInvalidArgument");
+  EXPECT_EQ(codes[5], "kInvalidArgument");
+  EXPECT_EQ(codes[6], "kParseError");
   EXPECT_EQ(codes[4], "kQuotaExceeded");
   const JobQueue::Stats stats = (*server)->queue_stats();
   EXPECT_EQ(stats.submitted, 1u);

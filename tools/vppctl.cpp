@@ -605,8 +605,10 @@ int cmd_replay(const std::string& path,
                          std::istreambuf_iterator<char>()};
   auto result = run_verb(
       flags,
-      [&] {
-        return in_process_service().replay(text, common::CancelToken());
+      [&]() -> common::Result<server::Service::Outcome> {
+        VPP_ASSIGN_OR_RETURN(const softmc::TraceDump dump,
+                             server::decode_trace_dump(text));
+        return in_process_service().replay(dump, common::CancelToken());
       },
       [&](server::Client& client) { return client.replay(text); });
   if (!result) return fail(result.error());
